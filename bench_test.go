@@ -66,7 +66,7 @@ func BenchmarkE2WordSizeTradeoff(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s, err := rme.NewSession(rme.Config{
 					Procs: tc.n, Width: tc.w, Model: rme.CC,
-					Algorithm: rme.MustAlgorithm("watree"), Passes: 2, NoTrace: true,
+					Algorithm: rme.MustAlgorithm("watree"), Passes: 2,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -161,7 +161,7 @@ func BenchmarkE6Landscape(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s, err := rme.NewSession(rme.Config{
-					Procs: 16, Width: 16, Model: rme.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+					Procs: 16, Width: 16, Model: rme.CC, Algorithm: alg, Passes: 2,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -227,7 +227,7 @@ func BenchmarkE8InvariantAudit(b *testing.B) {
 func BenchmarkSimStep(b *testing.B) {
 	s, err := rme.NewSession(rme.Config{
 		Procs: 1, Width: 64, Model: rme.CC, Algorithm: rme.MustAlgorithm("tas"),
-		Passes: 1 << 30, NoTrace: true, MaxSteps: 1 << 62,
+		Passes: 1 << 30, MaxSteps: 1 << 62,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -290,7 +290,7 @@ func BenchmarkMutexSessionSetup(b *testing.B) {
 	alg := rme.MustAlgorithm("watree")
 	for i := 0; i < b.N; i++ {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: 64, Width: 16, Model: rme.CC, Algorithm: alg, NoTrace: true,
+			Procs: 64, Width: 16, Model: rme.CC, Algorithm: alg,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -305,7 +305,7 @@ func BenchmarkMutexSessionSetup(b *testing.B) {
 func BenchmarkSessionReuse(b *testing.B) {
 	cfg := mutex.Config{
 		Procs: 64, Width: 16, Model: rme.CC,
-		Algorithm: rme.MustAlgorithm("watree"), Passes: 1, NoTrace: true,
+		Algorithm: rme.MustAlgorithm("watree"), Passes: 1,
 	}
 	b.Run("fresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -344,7 +344,7 @@ func BenchmarkEngineGrid(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		for _, w := range []rme.Width{4, 16, 64} {
 			specs = append(specs, rme.RunSpec{Session: rme.Config{
-				Procs: n, Width: w, Model: rme.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+				Procs: n, Width: w, Model: rme.CC, Algorithm: alg, Passes: 2,
 			}})
 		}
 	}

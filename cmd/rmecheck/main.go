@@ -413,18 +413,23 @@ func runJSON(cfg check.Config, algName string, model sim.Model, crashes, stress 
 // traceReference runs the checked configuration crash-free round-robin on a
 // traced machine and exports/summarizes its event stream.
 func traceReference(cfg mutex.Config, path, format string, top int) error {
-	cfg.NoTrace = false
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
+	// Reset after attaching so the collector sees the construction marks.
+	var col trace.Collector
+	s.Machine().SetObserver(&col)
+	if err := s.Reset(); err != nil {
+		return err
+	}
 	if err := s.RunRoundRobin(); err != nil {
 		return err
 	}
 	runs := []trace.Run{{
 		Label: "reference " + cfg.Algorithm.Name(), Procs: cfg.Procs, Model: cfg.Model,
-		Events: append([]sim.Event(nil), s.Machine().Trace()...),
+		Events: col.Events,
 	}}
 	cliutil.SummarizeTrace(os.Stderr, runs, cfg.Model, top)
 	return cliutil.ExportTrace(path, format, runs)

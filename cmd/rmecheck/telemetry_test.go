@@ -135,9 +135,15 @@ func debugServedRun(t *testing.T, args []string) (string, chan error) {
 	return strings.Fields(line[i+len(marker):])[0], done
 }
 
-// pollGet fetches url until the body contains want (the run may not have
-// populated the registry at the first scrape).
+// pollGet fetches url until the body contains want (the run may not
+// have populated the registry at the first scrape).
 func pollGet(t *testing.T, url, want string) string {
+	t.Helper()
+	return pollUntil(t, url, func(body string) bool { return strings.Contains(body, want) })
+}
+
+// pollUntil fetches url until ready accepts the body.
+func pollUntil(t *testing.T, url string, ready func(body string) bool) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -145,12 +151,12 @@ func pollGet(t *testing.T, url, want string) string {
 		if err == nil {
 			body, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK && strings.Contains(string(body), want) {
+			if rerr == nil && resp.StatusCode == http.StatusOK && ready(string(body)) {
 				return string(body)
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("GET %s: never saw %q (last err %v)", url, want, err)
+			t.Fatalf("GET %s: body never became ready (last err %v)", url, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -170,14 +176,14 @@ func TestDebugEndpointsDuringSearch(t *testing.T) {
 	if !strings.Contains(prom, "# TYPE check_states_visited counter") {
 		t.Errorf("prometheus exposition missing TYPE line:\n%s", prom)
 	}
+	// The counter is registered at 0 before the search visits a state, so
+	// wait for its value to move, not just for its name to appear.
 	var js struct {
 		Counters map[string]int64 `json:"counters"`
 	}
-	if err := json.Unmarshal([]byte(pollGet(t, base+"/metrics?format=json", "check_states_visited")), &js); err != nil {
-		t.Errorf("JSON /metrics: %v", err)
-	} else if js.Counters["check_states_visited"] == 0 {
-		t.Errorf("JSON /metrics shows no visited states: %v", js.Counters)
-	}
+	pollUntil(t, base+"/metrics?format=json", func(body string) bool {
+		return json.Unmarshal([]byte(body), &js) == nil && js.Counters["check_states_visited"] > 0
+	})
 	pollGet(t, base+"/debug/vars", "rme_telemetry")
 	pollGet(t, base+"/debug/pprof/", "goroutine")
 

@@ -85,18 +85,24 @@ func debugServedRun(t *testing.T, args []string) (string, chan error) {
 // have populated the registry at the first scrape).
 func pollGet(t *testing.T, url, want string) string {
 	t.Helper()
+	return pollUntil(t, url, func(body string) bool { return strings.Contains(body, want) })
+}
+
+// pollUntil fetches url until ready accepts the body.
+func pollUntil(t *testing.T, url string, ready func(body string) bool) string {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(url)
 		if err == nil {
 			body, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK && strings.Contains(string(body), want) {
+			if rerr == nil && resp.StatusCode == http.StatusOK && ready(string(body)) {
 				return string(body)
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("GET %s: never saw %q (last err %v)", url, want, err)
+			t.Fatalf("GET %s: body never became ready (last err %v)", url, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -116,15 +122,14 @@ func TestDebugEndpointsDuringCampaign(t *testing.T) {
 	if !strings.Contains(prom, "# TYPE faults_runs counter") {
 		t.Errorf("prometheus exposition missing TYPE line:\n%s", prom)
 	}
+	// The gauge is registered at 0 before the campaign plans its runs, so
+	// wait for its value to move, not just for its name to appear.
 	var js struct {
-		Counters map[string]int64 `json:"counters"`
-		Gauges   map[string]int64 `json:"gauges"`
+		Gauges map[string]int64 `json:"gauges"`
 	}
-	if err := json.Unmarshal([]byte(pollGet(t, base+"/metrics?format=json", "faults_runs")), &js); err != nil {
-		t.Errorf("JSON /metrics: %v", err)
-	} else if js.Gauges["faults_plans"] == 0 {
-		t.Errorf("JSON /metrics shows no planned runs: %v", js.Gauges)
-	}
+	pollUntil(t, base+"/metrics?format=json", func(body string) bool {
+		return json.Unmarshal([]byte(body), &js) == nil && js.Gauges["faults_plans"] > 0
+	})
 	pollGet(t, base+"/debug/vars", "rme_telemetry")
 	pollGet(t, base+"/debug/pprof/", "goroutine")
 

@@ -367,7 +367,7 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 // model-side variable of the E14 correlation.
 func simCorrelate(alg mutex.Algorithm, n int, w word.Width, pt *pointRecord) error {
 	s, err := mutex.NewSession(mutex.Config{
-		Procs: n, Width: w, Model: sim.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+		Procs: n, Width: w, Model: sim.CC, Algorithm: alg, Passes: 2,
 	})
 	if err != nil {
 		return err

@@ -25,13 +25,15 @@ func fixtureTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	var col trace.Collector
+	s.Machine().SetObserver(&col)
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.RunRoundRobin(); err != nil {
 		t.Fatal(err)
 	}
-	runs := []trace.Run{{
-		Label: "fixture", Procs: 2, Model: sim.CC,
-		Events: append([]sim.Event(nil), s.Machine().Trace()...),
-	}}
+	runs := []trace.Run{{Label: "fixture", Procs: 2, Model: sim.CC, Events: col.Events}}
 	path := filepath.Join(t.TempDir(), "fixture.jsonl")
 	if err := trace.WriteFile(path, trace.FormatJSONL, runs); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ func run() error {
 			Model:     rme.CC,
 			Algorithm: rme.MustAlgorithm("watree"),
 			Passes:    2,
-			NoTrace:   true,
 		})
 		if err != nil {
 			return err

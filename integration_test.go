@@ -42,7 +42,7 @@ func TestTradeoffEndToEnd(t *testing.T) {
 
 		s, err := rme.NewSession(rme.Config{
 			Procs: n, Width: w, Model: rme.CC,
-			Algorithm: rme.MustAlgorithm("watree"), Passes: 2, NoTrace: true,
+			Algorithm: rme.MustAlgorithm("watree"), Passes: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestAllRecoverableAlgorithmsSurviveCrashStorm(t *testing.T) {
 			}
 			for seed := int64(0); seed < 10; seed++ {
 				s, err := rme.NewSession(rme.Config{
-					Procs: n, Width: w, Model: rme.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+					Procs: n, Width: w, Model: rme.CC, Algorithm: alg, Passes: 2,
 				})
 				if err != nil {
 					t.Fatal(err)

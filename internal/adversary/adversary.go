@@ -131,7 +131,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRemovalsPerCompletion = 4*w + 8
 	}
 	c.Session.Passes = 1
-	c.Session.NoTrace = true
 	return c
 }
 
@@ -191,8 +190,9 @@ type Report struct {
 	// Steps is the length of the final execution's schedule.
 	Steps int
 	// Schedule is the final execution's full schedule. The construction runs
-	// with NoTrace (erasure audits replay constantly), so a caller that
-	// wants the step-level story replays this schedule on a traced machine.
+	// untraced (erasure audits replay constantly), so a caller that wants
+	// the step-level story replays this schedule with a trace.Collector
+	// attached.
 	Schedule sim.Schedule
 	// InvariantViolations lists operational invariant-audit failures
 	// (empty in a sound construction).

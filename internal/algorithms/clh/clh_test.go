@@ -42,7 +42,7 @@ func TestConstantRMRsPerPassage(t *testing.T) {
 	// number low too; the CC number is the meaningful one.)
 	measure := func(n int) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 16, Model: sim.CC, Algorithm: clh.New(), Passes: 3, NoTrace: true,
+			Procs: n, Width: 16, Model: sim.CC, Algorithm: clh.New(), Passes: 3,
 		})
 		if err != nil {
 			t.Fatal(err)

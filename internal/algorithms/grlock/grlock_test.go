@@ -33,7 +33,7 @@ func TestLinearRMRGrowth(t *testing.T) {
 	// the shape of the first RME algorithm [12] in the paper's landscape.
 	measure := func(n int) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 16, Model: sim.CC, Algorithm: grlock.New(), Passes: 1, NoTrace: true,
+			Procs: n, Width: 16, Model: sim.CC, Algorithm: grlock.New(), Passes: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

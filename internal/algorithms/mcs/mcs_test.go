@@ -32,7 +32,7 @@ func TestConstantDSMRMRs(t *testing.T) {
 	// DSM RMRs per passage must be a small constant independent of n.
 	maxAt := func(n int) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 16, Model: sim.DSM, Algorithm: mcs.New(), Passes: 3, NoTrace: true,
+			Procs: n, Width: 16, Model: sim.DSM, Algorithm: mcs.New(), Passes: 3,
 		})
 		if err != nil {
 			t.Fatal(err)

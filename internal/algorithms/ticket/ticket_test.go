@@ -57,7 +57,7 @@ func TestLinearWaitingCostCC(t *testing.T) {
 	// by a small multiple of n.
 	for _, n := range []int{4, 8, 16} {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 16, Model: sim.CC, Algorithm: ticket.New(), Passes: 4, NoTrace: true,
+			Procs: n, Width: 16, Model: sim.CC, Algorithm: ticket.New(), Passes: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

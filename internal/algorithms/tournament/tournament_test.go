@@ -35,7 +35,7 @@ func TestLogarithmicRMRGrowthCC(t *testing.T) {
 	// paper's Θ(log n) bound [2, 23] applies.
 	measure := func(n int) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 4, Model: sim.CC, Algorithm: tournament.New(), Passes: 2, NoTrace: true,
+			Procs: n, Width: 4, Model: sim.CC, Algorithm: tournament.New(), Passes: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -77,7 +77,7 @@ func TestSingleNodeWhenWordCoversAllProcs(t *testing.T) {
 	// not grow with the number of contenders.
 	measure := func(n int) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 32, Model: sim.CC, Algorithm: watree.New(), Passes: 3, NoTrace: true,
+			Procs: n, Width: 32, Model: sim.CC, Algorithm: watree.New(), Passes: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDepthDropsWithWiderWords(t *testing.T) {
 	const n = 64
 	measure := func(w word.Width) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: w, Model: sim.CC, Algorithm: watree.New(), Passes: 2, NoTrace: true,
+			Procs: n, Width: w, Model: sim.CC, Algorithm: watree.New(), Passes: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func TestManyPassesManyWidths(t *testing.T) {
 		w := w
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
 			s, err := mutex.NewSession(mutex.Config{
-				Procs: 6, Width: w, Model: sim.CC, Algorithm: watree.New(), Passes: 3, NoTrace: true,
+				Procs: 6, Width: w, Model: sim.CC, Algorithm: watree.New(), Passes: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -206,7 +206,7 @@ func TestFastPathSoloCost(t *testing.T) {
 	// tree depth, while the plain tree pays the full climb.
 	solo := func(alg mutex.Algorithm) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: 64, Width: 8, Model: sim.CC, Algorithm: alg, NoTrace: true,
+			Procs: 64, Width: 8, Model: sim.CC, Algorithm: alg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -260,7 +260,7 @@ func TestFastPathContendedStillTree(t *testing.T) {
 	// Under full contention the fast path falls back to the climb; the
 	// worst passage stays Θ(depth), and correctness holds.
 	s, err := mutex.NewSession(mutex.Config{
-		Procs: 16, Width: 4, Model: sim.CC, Algorithm: watree.New(watree.WithFastPath()), Passes: 2, NoTrace: true,
+		Procs: 16, Width: 4, Model: sim.CC, Algorithm: watree.New(watree.WithFastPath()), Passes: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

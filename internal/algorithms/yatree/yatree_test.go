@@ -36,7 +36,7 @@ func TestDSMLocalSpinning(t *testing.T) {
 	// Θ(log n) DSM RMRs per passage, not Θ(log n) per *handoff observed*.
 	measure := func(n int) int {
 		s, err := mutex.NewSession(mutex.Config{
-			Procs: n, Width: 16, Model: sim.DSM, Algorithm: yatree.New(), Passes: 2, NoTrace: true,
+			Procs: n, Width: 16, Model: sim.DSM, Algorithm: yatree.New(), Passes: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

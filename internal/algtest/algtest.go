@@ -110,7 +110,6 @@ func newSession(t *testing.T, alg mutex.Algorithm, opts Options, model sim.Model
 		Model:     model,
 		Algorithm: alg,
 		Passes:    passes,
-		NoTrace:   true,
 	})
 	if err != nil {
 		t.Fatalf("new session (n=%d): %v", procs, err)

@@ -138,7 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.Session.Passes == 0 {
 		c.Session.Passes = 1
 	}
-	c.Session.NoTrace = true
 	return c
 }
 

@@ -96,9 +96,8 @@ type Options struct {
 	Metrics *Metrics
 	// Trace, when non-nil, captures every run's full event stream. The batch
 	// reserves a contiguous block of submission-order slots up front, so
-	// captured runs come back in spec order at any parallelism level.
-	// Capturing overrides Session.NoTrace for the duration of the run (the
-	// machine must retain events to have a trace to hand over).
+	// captured runs come back in spec order at any parallelism level. Each
+	// run streams into a trace.Collector that is attached only for that run.
 	Trace *trace.Capture
 	// Telemetry, when non-nil, receives live run statistics: engine_runs /
 	// engine_run_errors counters, engine_busy_ns worker busy time,
@@ -281,17 +280,22 @@ func runOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slot
 
 func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slot int) Result {
 	r := Result{Index: i}
-	cfg := spec.Session
-	if tc != nil {
-		// The machine must retain events for the capture to hand over; the
-		// override applies to every spec in the batch, so worker reuse
-		// (Compatible includes NoTrace) is unaffected.
-		cfg.NoTrace = false
-	}
-	s, err := w.Session(cfg)
+	s, err := w.Session(spec.Session)
 	if err != nil {
 		r.Err = err
 		return r
+	}
+	var col *trace.Collector
+	if tc != nil {
+		// Reset after attaching: Start records the construction marks, and a
+		// session comes out of the worker already started.
+		col = &trace.Collector{}
+		s.Machine().SetObserver(col)
+		if err := s.Reset(); err != nil {
+			s.Close()
+			r.Err = err
+			return r
+		}
 	}
 	drive := spec.Drive
 	if drive == nil {
@@ -307,16 +311,17 @@ func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slo
 	if r.Err == nil && spec.Collect != nil {
 		r.Payload, r.Err = spec.Collect(s)
 	}
-	if tc != nil {
-		// Clone: Reset truncates the machine's retained trace in place.
-		events := append([]sim.Event(nil), s.Machine().Trace()...)
+	if col != nil {
+		// Detach before the session goes back to the worker, so the next
+		// run on it does not stream into this capture.
+		s.Machine().SetObserver(nil)
 		scfg := s.Config()
 		label := spec.Label
 		if label == "" {
 			label = scfg.Algorithm.Name()
 		}
 		tc.Set(slot, trace.Run{
-			Label: label, Procs: scfg.Procs, Model: scfg.Model, Events: events,
+			Label: label, Procs: scfg.Procs, Model: scfg.Model, Events: col.Events,
 		})
 	}
 	if m != nil {

@@ -20,7 +20,7 @@ func gridSpecs() []RunSpec {
 		for _, n := range []int{2, 4, 8} {
 			for _, w := range []word.Width{8, 16} {
 				specs = append(specs, RunSpec{Session: mutex.Config{
-					Procs: n, Width: w, Model: sim.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+					Procs: n, Width: w, Model: sim.CC, Algorithm: alg, Passes: 2,
 				}})
 			}
 		}
@@ -85,7 +85,7 @@ func TestRunMatchesDirectSessions(t *testing.T) {
 
 // TestWorkerReuse: a released compatible session is recycled, not rebuilt.
 func TestWorkerReuse(t *testing.T) {
-	cfg := mutex.Config{Procs: 4, Width: 16, Model: sim.CC, Algorithm: watree.New(), NoTrace: true}
+	cfg := mutex.Config{Procs: 4, Width: 16, Model: sim.CC, Algorithm: watree.New()}
 	w := NewWorker()
 	defer w.Close()
 
@@ -125,7 +125,7 @@ func TestWorkerReuse(t *testing.T) {
 // TestWorkerReuseEquivalence: a recycled session produces the same
 // measurements as a fresh one, run after run.
 func TestWorkerReuseEquivalence(t *testing.T) {
-	cfg := mutex.Config{Procs: 6, Width: 8, Model: sim.CC, Algorithm: watree.New(), Passes: 2, NoTrace: true}
+	cfg := mutex.Config{Procs: 6, Width: 8, Model: sim.CC, Algorithm: watree.New(), Passes: 2}
 	fresh, err := mutex.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestRunDriveAndCollect(t *testing.T) {
 	for seed := 0; seed < 6; seed++ {
 		seed := seed
 		specs = append(specs, RunSpec{
-			Session: mutex.Config{Procs: 3, Width: 16, Model: sim.CC, Algorithm: mcs.New(), NoTrace: true},
+			Session: mutex.Config{Procs: 3, Width: 16, Model: sim.CC, Algorithm: mcs.New()},
 			Drive: func(s *mutex.Session) error {
 				return s.RunRandom(int64(seed), mutex.RandomRunOptions{})
 			},
@@ -189,9 +189,9 @@ func TestRunDriveAndCollect(t *testing.T) {
 // without disturbing its neighbours.
 func TestRunReportsErrors(t *testing.T) {
 	specs := []RunSpec{
-		{Session: mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: mcs.New(), NoTrace: true}},
+		{Session: mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: mcs.New()}},
 		{Session: mutex.Config{Procs: 0, Width: 16, Model: sim.CC, Algorithm: mcs.New()}}, // invalid
-		{Session: mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: mcs.New(), NoTrace: true}},
+		{Session: mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: mcs.New()}},
 	}
 	res := Run(specs, Options{Parallel: 2})
 	if res[0].Err != nil || res[2].Err != nil {

@@ -3,11 +3,13 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"rme/internal/algorithms/watree"
 	"rme/internal/mutex"
 	"rme/internal/sim"
+	"rme/internal/telemetry"
 	"rme/internal/trace"
 )
 
@@ -79,21 +81,47 @@ func TestTraceIdenticalAcrossReset(t *testing.T) {
 	}
 }
 
-// TestTraceOverridesNoTrace: capturing forces event retention even when the
-// spec asks for NoTrace (the campaign default), so captures are never empty.
-func TestTraceOverridesNoTrace(t *testing.T) {
-	cfg := mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: watree.New(), NoTrace: true}
+// TestTracedBatchDetachesObserver: a traced batch detaches each run's
+// collector before the session goes back to its worker. The next, untraced
+// batch on the same Pool reuses that session; it must neither stream into
+// the first batch's capture nor change its own results.
+func TestTracedBatchDetachesObserver(t *testing.T) {
+	cfg := mutex.Config{Procs: 3, Width: 16, Model: sim.CC, Algorithm: watree.New(), Passes: 2}
+	specs := []RunSpec{{Session: cfg}, {Session: cfg}}
+	want := Run(specs, Options{Parallel: 1})
+
+	pl := NewPool(1)
+	defer pl.Close()
 	var tc trace.Capture
-	res := Run([]RunSpec{{Session: cfg, Label: "override"}}, Options{Parallel: 1, Trace: &tc})
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
+	for _, r := range pl.Run(specs, Options{Parallel: 1, Trace: &tc}) {
+		if r.Err != nil {
+			t.Fatalf("traced run %d: %v", r.Index, r.Err)
+		}
 	}
-	runs := tc.Runs()
-	if len(runs) != 1 || len(runs[0].Events) == 0 {
-		t.Fatalf("NoTrace spec captured no events: %d runs", len(runs))
+	// A leaked collector appends into its backing array beyond len, so
+	// snapshot each run's events up to capacity.
+	full := func() [][]sim.Event {
+		var out [][]sim.Event
+		for _, r := range tc.Runs() {
+			out = append(out, append([]sim.Event(nil), r.Events[:cap(r.Events)]...))
+		}
+		return out
 	}
-	if runs[0].Label != "override" {
-		t.Errorf("label = %q", runs[0].Label)
+	before := full()
+	if runs := tc.Runs(); len(runs[1].Events) == cap(runs[1].Events) {
+		t.Fatal("last captured run has no spare capacity, so a leak would not show")
+	}
+
+	reg := telemetry.New()
+	got := pl.Run(specs, Options{Parallel: 1, Telemetry: reg})
+	if n := reg.Counter("engine_session_reuse").Load(); n != int64(len(specs)) {
+		t.Fatalf("session reuse = %d, want %d (the traced session must be reused)", n, len(specs))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("untraced batch after a traced one differs:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(full(), before) {
+		t.Error("untraced batch streamed events into the previous batch's capture")
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 
 // Campaign configures one fault-injection run against one algorithm.
 type Campaign struct {
-	// Session is the machine/algorithm configuration (Passes defaults to 1,
-	// NoTrace is forced — campaigns replay from schedules, not traces).
+	// Session is the machine/algorithm configuration (Passes defaults to 1;
+	// campaigns replay from schedules, not traces).
 	Session mutex.Config
 	// Sources generate the fault plans; nil means DefaultSources.
 	Sources []Source
@@ -153,7 +153,6 @@ func DefaultSources(recoverable bool, seed int64, short bool) []Source {
 // oracle evaluation, and failure minimization.
 func (c Campaign) Run() (*Report, error) {
 	cfg := c.Session
-	cfg.NoTrace = true
 	if cfg.Passes == 0 {
 		cfg.Passes = 1
 	}

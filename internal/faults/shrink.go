@@ -7,6 +7,7 @@ import (
 	"rme/internal/engine"
 	"rme/internal/mutex"
 	"rme/internal/sim"
+	"rme/internal/trace"
 )
 
 // Shrink delta-debugs a failing concrete schedule down to a minimal
@@ -212,7 +213,6 @@ func replayOutcome(s *mutex.Session, atEnd bool) *Outcome {
 // action no longer applies, which means the schedule does not belong to
 // this configuration.
 func Replay(cfg mutex.Config, sched sim.Schedule) (*Outcome, error) {
-	cfg.NoTrace = true
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
 		return nil, err
@@ -226,24 +226,28 @@ func Replay(cfg mutex.Config, sched sim.Schedule) (*Outcome, error) {
 	return replayOutcome(s, true), nil
 }
 
-// ReplayTraced is Replay with event retention: it returns the replay's full
-// step-level trace alongside the outcome. Campaigns force NoTrace for
-// throughput, so this is how a failure's shrunken reproducer (or the probe
-// run) gets its per-access story back for export (rmefault -trace).
+// ReplayTraced is Replay with a trace.Collector attached: it returns the
+// replay's full step-level trace alongside the outcome. Campaigns run
+// untraced for throughput, so this is how a failure's shrunken reproducer (or
+// the probe run) gets its per-access story back for export (rmefault -trace).
 func ReplayTraced(cfg mutex.Config, sched sim.Schedule) ([]sim.Event, *Outcome, error) {
-	cfg.NoTrace = false
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer s.Close()
+	// Reset after attaching so the collector sees the construction marks.
+	var col trace.Collector
+	s.Machine().SetObserver(&col)
+	if err := s.Reset(); err != nil {
+		return nil, nil, err
+	}
 	for i, act := range sched {
 		if !applyAction(s, act) {
 			return nil, nil, fmt.Errorf("faults: action %d (%s) does not apply", i, act)
 		}
 	}
-	events := append([]sim.Event(nil), s.Machine().Trace()...)
-	return events, replayOutcome(s, true), nil
+	return col.Events, replayOutcome(s, true), nil
 }
 
 // without returns sched with [start, end) removed.

@@ -17,10 +17,10 @@ type Probe struct {
 	// RMRAt lists the decision indices whose step incurred an RMR under the
 	// campaign's configured model, ascending.
 	RMRAt []int
-	// Schedule is the probe run's executed action sequence. Campaigns force
-	// NoTrace, so a caller that wants the step-level story (rmefault -trace)
-	// replays this schedule — or a failure's shrunken reproducer — on a
-	// traced machine.
+	// Schedule is the probe run's executed action sequence. Campaigns run
+	// untraced, so a caller that wants the step-level story (rmefault -trace)
+	// replays this schedule — or a failure's shrunken reproducer — with
+	// ReplayTraced.
 	Schedule sim.Schedule
 }
 

@@ -53,13 +53,13 @@ func runE12(opts Options) ([]Table, error) {
 	for _, tc := range cases {
 		specs = append(specs, engine.RunSpec{
 			Session: mutex.Config{
-				Procs: n, Width: word.Width(tc.w), Model: sim.CC, Algorithm: tc.alg, NoTrace: true,
+				Procs: n, Width: word.Width(tc.w), Model: sim.CC, Algorithm: tc.alg,
 			},
 			Drive:   soloDrive,
 			Collect: soloCollect,
 		}, engine.RunSpec{
 			Session: mutex.Config{
-				Procs: n, Width: word.Width(tc.w), Model: sim.CC, Algorithm: tc.alg, Passes: 2, NoTrace: true,
+				Procs: n, Width: word.Width(tc.w), Model: sim.CC, Algorithm: tc.alg, Passes: 2,
 			},
 		})
 	}

@@ -281,7 +281,7 @@ func runE2(opts Options) ([]Table, error) {
 			fan := alg.Fanout(w, n)
 			pts = append(pts, point{n, w, fan, word.CeilLog(fan, n)})
 			specs = append(specs, engine.RunSpec{Session: mutex.Config{
-				Procs: n, Width: w, Model: sim.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+				Procs: n, Width: w, Model: sim.CC, Algorithm: alg, Passes: 2,
 			}})
 		}
 	}
@@ -551,7 +551,7 @@ func runE6(opts Options) ([]Table, error) {
 	for _, e := range entries {
 		for _, n := range ns {
 			specs = append(specs, engine.RunSpec{Session: mutex.Config{
-				Procs: n, Width: 16, Model: sim.CC, Algorithm: e.alg, Passes: 2, NoTrace: true,
+				Procs: n, Width: 16, Model: sim.CC, Algorithm: e.alg, Passes: 2,
 			}})
 		}
 	}

@@ -58,7 +58,7 @@ func runE9(opts Options) ([]Table, error) {
 		for _, wv := range waves {
 			specs = append(specs, engine.RunSpec{
 				Session: mutex.Config{
-					Procs: n, Width: 16, Model: sim.CC, Algorithm: alg, Passes: 2, NoTrace: true,
+					Procs: n, Width: 16, Model: sim.CC, Algorithm: alg, Passes: 2,
 				},
 				Drive: crashWaveDrive(n, wv, 99+opts.Seed),
 			})
@@ -145,7 +145,7 @@ func runE10(opts Options) ([]Table, error) {
 		for _, n := range ns {
 			specs = append(specs, engine.RunSpec{
 				Session: mutex.Config{
-					Procs: n, Width: 8, Model: sim.CC, Algorithm: alg, Passes: passes, NoTrace: true,
+					Procs: n, Width: 8, Model: sim.CC, Algorithm: alg, Passes: passes,
 				},
 				Collect: func(s *mutex.Session) (interface{}, error) {
 					stats := s.Stats()

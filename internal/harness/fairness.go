@@ -75,7 +75,7 @@ func runE11(opts Options) ([]Table, error) {
 			specs = append(specs, engine.RunSpec{
 				Session: mutex.Config{
 					Procs: an, Width: word.Width(a.width), Model: sim.CC, Algorithm: a.alg,
-					Passes: 1, NoTrace: true,
+					Passes: 1,
 				},
 				Drive: func(s *mutex.Session) error {
 					return s.RunRandom(int64(seed)+opts.Seed, mutex.RandomRunOptions{})

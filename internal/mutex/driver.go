@@ -26,8 +26,6 @@ type Config struct {
 	// ExtraCSSteps adds RMR-incurring steps inside the critical section on
 	// top of the single step of assumption (A2) (default 0).
 	ExtraCSSteps int
-	// NoTrace disables trace retention on the underlying machine.
-	NoTrace bool
 	// MaxSteps caps the machine's action count (0 = sim default).
 	MaxSteps int
 }
@@ -108,7 +106,6 @@ func NewSession(cfg Config) (*Session, error) {
 		Procs:    cfg.Procs,
 		Width:    cfg.Width,
 		Model:    cfg.Model,
-		NoTrace:  cfg.NoTrace,
 		MaxSteps: cfg.MaxSteps,
 	})
 	if err != nil {
@@ -182,7 +179,7 @@ func Compatible(a, b Config) bool {
 	a, b = a.withDefaults(), b.withDefaults()
 	return a.Procs == b.Procs && a.Width == b.Width && a.Model == b.Model &&
 		a.Passes == b.Passes && a.ExtraCSSteps == b.ExtraCSSteps &&
-		a.NoTrace == b.NoTrace && a.MaxSteps == b.MaxSteps &&
+		a.MaxSteps == b.MaxSteps &&
 		sameAlgorithm(a.Algorithm, b.Algorithm)
 }
 

@@ -243,7 +243,6 @@ func Run(cfg Config) (*Report, error) {
 		Model:     cfg.Model,
 		Algorithm: cfg.Algorithm,
 		Passes:    1,
-		NoTrace:   true,
 	}
 
 	for passages < cfg.Passages {

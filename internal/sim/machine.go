@@ -17,8 +17,6 @@ type Config struct {
 	// Model selects the RMR accounting rule used for scheduling decisions
 	// (WouldRMR, RMRs). Both models' counters are always maintained.
 	Model Model
-	// NoTrace disables trace retention (counters and schedules remain).
-	NoTrace bool
 	// MaxSteps caps the number of actions; 0 means DefaultMaxSteps.
 	MaxSteps int
 }
@@ -79,7 +77,6 @@ type Machine struct {
 	cfg      Config
 	cells    []*simCell
 	procs    []*Proc
-	trace    []Event
 	schedule Schedule
 	seq      int
 	started  bool
@@ -97,12 +94,13 @@ type Machine struct {
 	symFor   *Symmetry
 	symCache []symPerm
 	// obs, when non-nil, is streamed every recorded event (see SetObserver).
-	// The disabled path is a single nil check per event.
+	// It is the machine's only event path: nothing is retained, and the
+	// disabled path is a single nil check per event.
 	obs Observer
 }
 
-// Observer receives every recorded trace event as it happens, including
-// events the machine does not retain under NoTrace. Observers run on the
+// Observer receives every trace event as it happens; it is the only way to
+// see the event stream (trace.Collector retains it). Observers run on the
 // controller goroutine, synchronously with the step that produced the event;
 // they must not call back into the machine. When no observer is set the hook
 // costs one nil check per event — the zero-overhead-when-disabled contract
@@ -207,9 +205,9 @@ func (m *Machine) Start(programs []Program) error {
 
 // Reset returns the machine to its post-construction, pre-Start state
 // without allocating: every cell reverts to its initial value with empty
-// cache/accessor/watcher sets, the trace and schedule buffers are truncated
-// in place, all counters clear, and process structures are retained for the
-// next Start. Live process goroutines are terminated first (as in Close),
+// cache/accessor/watcher sets, the schedule buffer is truncated in place,
+// all counters clear, and process structures are retained for the next
+// Start. Live process goroutines are terminated first (as in Close),
 // so Reset is legal at any point, including mid-run and after Close.
 //
 // Equivalence guarantee: a machine that is Reset and re-Started with an
@@ -232,7 +230,6 @@ func (m *Machine) Reset() {
 		c.rmrCC = 0
 		c.rmrDSM = 0
 	}
-	m.trace = m.trace[:0]
 	m.schedule = m.schedule[:0]
 	m.seq = 0
 }
@@ -534,22 +531,18 @@ func (m *Machine) Apply(s Schedule) error {
 	return nil
 }
 
-// record appends an event to the trace unless tracing is disabled, and
-// streams it to the observer, if any. Observer delivery is independent of
-// NoTrace: a campaign that discards retained traces can still stream.
+// record streams an event to the observer, if any.
 func (m *Machine) record(ev Event) {
-	if !m.cfg.NoTrace {
-		m.trace = append(m.trace, ev)
-	}
 	if m.obs != nil {
 		m.obs.ObserveEvent(ev)
 	}
 }
 
 // SetObserver installs (or, with nil, removes) the event observer. The
-// observer survives Reset — reattachment would race the construction marks
-// Start records — so a reused machine streams every run to the same sink
-// unless the controller swaps it between runs.
+// observer survives Reset, so a reused machine streams every run to the same
+// sink unless the controller swaps it between runs. Start records the
+// construction marks, so a caller that attaches an observer to a started
+// machine must Reset and re-Start it to see the whole run.
 func (m *Machine) SetObserver(o Observer) { m.obs = o }
 
 // Close shuts the machine down, terminating all process goroutines. It is
@@ -697,10 +690,6 @@ func (m *Machine) Steps() int { return len(m.schedule) }
 
 // Schedule returns a copy of the executed schedule.
 func (m *Machine) Schedule() Schedule { return m.schedule.Clone() }
-
-// Trace returns the retained trace (empty when NoTrace is set). The returned
-// slice is shared; callers must not modify it.
-func (m *Machine) Trace() []Event { return m.trace }
 
 // CellByID returns the cell with the given allocation index. Allocation
 // order is deterministic, so ids are stable across replays of the same

@@ -405,6 +405,7 @@ func TestReplayDeterminism(t *testing.T) {
 
 	m1, progs1 := build()
 	t.Cleanup(m1.Close)
+	obs1 := observe(m1)
 	if err := m1.Start(progs1); err != nil {
 		t.Fatal(err)
 	}
@@ -419,6 +420,7 @@ func TestReplayDeterminism(t *testing.T) {
 
 	m2, progs2 := build()
 	t.Cleanup(m2.Close)
+	obs2 := observe(m2)
 	if err := m2.Start(progs2); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +428,7 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr1, tr2 := m1.Trace(), m2.Trace()
+	tr1, tr2 := obs1.events, obs2.events
 	if len(tr1) != len(tr2) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(tr1), len(tr2))
 	}
@@ -558,6 +560,7 @@ func TestTagAndMark(t *testing.T) {
 		p.SetTag(2)
 		p.Mark("after")
 	}}
+	obs := observe(m)
 	if err := m.Start([]Program{prog}); err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +572,7 @@ func TestTagAndMark(t *testing.T) {
 		t.Errorf("tag after = %d, want 2", got)
 	}
 	var notes []string
-	for _, ev := range m.Trace() {
+	for _, ev := range obs.events {
 		if ev.Kind == EvMark {
 			notes = append(notes, ev.Note)
 		}
@@ -606,8 +609,10 @@ func TestLastAccessorAndAccessors(t *testing.T) {
 	}
 }
 
-func TestNoTraceStillCounts(t *testing.T) {
-	m, err := New(Config{Procs: 1, Width: 8, Model: CC, NoTrace: true})
+// TestUnobservedStillCounts: a machine with no observer sees no events, but
+// its RMR and step counters are still maintained.
+func TestUnobservedStillCounts(t *testing.T) {
+	m, err := New(Config{Procs: 1, Width: 8, Model: CC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,9 +623,6 @@ func TestNoTraceStillCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	runToCompletion(t, m)
-	if len(m.Trace()) != 0 {
-		t.Error("trace retained despite NoTrace")
-	}
 	if got := m.RMRsIn(CC, 0); got != 2 {
 		t.Errorf("RMRs = %d, want 2", got)
 	}

@@ -15,6 +15,13 @@ type sliceObserver struct {
 
 func (o *sliceObserver) ObserveEvent(ev Event) { o.events = append(o.events, ev) }
 
+// observe attaches a fresh sliceObserver to m and returns it.
+func observe(m *Machine) *sliceObserver {
+	o := &sliceObserver{}
+	m.SetObserver(o)
+	return o
+}
+
 // contendProg makes procs fight over a shared cell and then spin until a
 // release flag flips, exercising RMR charges, parking, and wakes.
 func contendProg(c, flag memory.Cell, id int) Program {
@@ -50,57 +57,18 @@ func startContention(t *testing.T, m *Machine) []Program {
 	return progs
 }
 
-// TestObserverMatchesRetainedTrace asserts the streaming hook sees exactly
-// the events the machine retains, in order — including the marks recorded
-// during Start, which is why the observer must be attachable before Start.
-func TestObserverMatchesRetainedTrace(t *testing.T) {
-	for _, model := range []Model{CC, DSM} {
-		m := newTestMachine(t, 3, model)
-		var obs sliceObserver
-		m.SetObserver(&obs)
-		startContention(t, m)
-		runToCompletion(t, m)
-		if len(obs.events) == 0 {
-			t.Fatal("observer saw no events")
-		}
-		if !reflect.DeepEqual(obs.events, m.Trace()) {
-			t.Errorf("%v: observer stream (%d events) != retained trace (%d events)",
-				model, len(obs.events), len(m.Trace()))
-		}
-	}
-}
-
-// TestObserverStreamsUnderNoTrace asserts the hook still fires when trace
-// retention is disabled — the configuration fault campaigns run with.
-func TestObserverStreamsUnderNoTrace(t *testing.T) {
-	m, err := New(Config{Procs: 2, Width: 16, Model: CC, NoTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	var obs sliceObserver
-	m.SetObserver(&obs)
-	startContention(t, m)
-	runToCompletion(t, m)
-	if got := len(m.Trace()); got != 0 {
-		t.Fatalf("NoTrace machine retained %d events", got)
-	}
-	if len(obs.events) == 0 {
-		t.Fatal("observer saw no events under NoTrace")
-	}
-}
-
 // TestEventFlagsMatchRMRCounters asserts the per-event RMRCC/RMRDSM flags
 // sum to exactly the machine's per-process RMR counters — the trace is the
 // counters, itemized.
 func TestEventFlagsMatchRMRCounters(t *testing.T) {
 	for _, model := range []Model{CC, DSM} {
 		m := newTestMachine(t, 4, model)
+		obs := observe(m)
 		startContention(t, m)
 		runToCompletion(t, m)
 		ccByProc := make([]int, m.Procs())
 		dsmByProc := make([]int, m.Procs())
-		for _, ev := range m.Trace() {
+		for _, ev := range obs.events {
 			if ev.RMRCC {
 				ccByProc[ev.Proc]++
 			}
@@ -125,6 +93,7 @@ func TestEventFlagsMatchRMRCounters(t *testing.T) {
 // flag counts.
 func TestCellRMRStatsMatchProcCounters(t *testing.T) {
 	m := newTestMachine(t, 4, CC)
+	obs := observe(m)
 	startContention(t, m)
 	runToCompletion(t, m)
 
@@ -144,7 +113,7 @@ func TestCellRMRStatsMatchProcCounters(t *testing.T) {
 
 	byCellCC := map[int]int{}
 	byCellDSM := map[int]int{}
-	for _, ev := range m.Trace() {
+	for _, ev := range obs.events {
 		if ev.RMRCC {
 			byCellCC[ev.Cell]++
 		}

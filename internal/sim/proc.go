@@ -264,7 +264,7 @@ func (p *Proc) announceWait(req stepReq) []word.Word {
 
 // --- body annotations ---------------------------------------------------------
 
-// Mark appends an annotation event to the trace. It is not a step: it does
+// Mark records an annotation event in the trace. It is not a step: it does
 // not consume a scheduling action and is invisible to the algorithm.
 func (p *Proc) Mark(note string) {
 	p.m.seq++

@@ -51,7 +51,7 @@ func (c *chaosProgram) body(p *Proc, incarnation int64) {
 	}
 }
 
-func buildChaos(t *testing.T, n int, seed int64) *Machine {
+func buildChaos(t *testing.T, n int, seed int64) (*Machine, *sliceObserver) {
 	t.Helper()
 	m, err := New(Config{Procs: n, Width: 9, Model: CC})
 	if err != nil {
@@ -68,10 +68,11 @@ func buildChaos(t *testing.T, n int, seed int64) *Machine {
 		cells := append([]memory.Cell{own}, shared...)
 		programs[i] = &chaosProgram{id: i, cells: cells, own: own, seed: seed + int64(i)*1000}
 	}
+	obs := observe(m)
 	if err := m.Start(programs); err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, obs
 }
 
 // TestReplayDeterminismProperty: for random chaotic executions (random
@@ -82,7 +83,7 @@ func TestReplayDeterminismProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 4
 		rng := rand.New(rand.NewSource(seed))
-		m1 := buildChaos(t, n, seed)
+		m1, obs1 := buildChaos(t, n, seed)
 		for !m1.AllDone() {
 			poised := m1.PoisedProcs()
 			if len(poised) == 0 {
@@ -107,7 +108,7 @@ func TestReplayDeterminismProperty(t *testing.T) {
 			}
 		}
 
-		m2 := buildChaos(t, n, seed)
+		m2, obs2 := buildChaos(t, n, seed)
 		if err := m2.Apply(m1.Schedule()); err != nil {
 			t.Logf("seed %d: replay failed: %v", seed, err)
 			return false
@@ -129,7 +130,7 @@ func TestReplayDeterminismProperty(t *testing.T) {
 				return false
 			}
 		}
-		tr1, tr2 := m1.Trace(), m2.Trace()
+		tr1, tr2 := obs1.events, obs2.events
 		if len(tr1) != len(tr2) {
 			t.Logf("seed %d: trace lengths diverge", seed)
 			return false
@@ -212,7 +213,7 @@ func count(s Schedule, proc int) int {
 // steps (every DSM RMR is a step or a registration/recheck charge).
 func TestBothModelCountersConsistent(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		m := buildChaos(t, 3, seed)
+		m, _ := buildChaos(t, 3, seed)
 		rng := rand.New(rand.NewSource(seed))
 		for !m.AllDone() {
 			poised := m.PoisedProcs()

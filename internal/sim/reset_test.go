@@ -75,11 +75,11 @@ func driveWithCrash(t *testing.T, m *Machine, crashProc, crashAt int) {
 }
 
 // fingerprint renders everything the equivalence guarantee covers — the
-// full trace, the schedule, both RMR counters, step and crash counts, and
+// full trace (the run's observed events), the schedule, both RMR counters, step and crash counts, and
 // final cell values — as one string for byte-identical comparison.
-func fingerprint(m *Machine) string {
+func fingerprint(m *Machine, events []Event) string {
 	var b strings.Builder
-	for _, ev := range m.Trace() {
+	for _, ev := range events {
 		b.WriteString(ev.String())
 		b.WriteByte('\n')
 	}
@@ -103,11 +103,12 @@ func TestResetEquivalence(t *testing.T) {
 	for _, model := range []Model{CC, DSM} {
 		t.Run(model.String(), func(t *testing.T) {
 			run := func(m *Machine, progs []Program) string {
+				obs := observe(m)
 				if err := m.Start(progs); err != nil {
 					t.Fatal(err)
 				}
 				driveWithCrash(t, m, 1, crashAt)
-				return fingerprint(m)
+				return fingerprint(m, obs.events)
 			}
 
 			fresh := newTestMachineModel(t, procs, model)
@@ -138,11 +139,12 @@ func TestResetMidRun(t *testing.T) {
 	const procs, rounds = 4, 3
 	fresh := newTestMachineModel(t, procs, CC)
 	want := func() string {
+		obs := observe(fresh)
 		if err := fresh.Start(buildResetPrograms(fresh, rounds)); err != nil {
 			t.Fatal(err)
 		}
 		driveWithCrash(t, fresh, 2, 5)
-		return fingerprint(fresh)
+		return fingerprint(fresh, obs.events)
 	}()
 
 	m := newTestMachineModel(t, procs, CC)
@@ -165,11 +167,12 @@ func TestResetMidRun(t *testing.T) {
 	}
 
 	m.Reset()
+	obs := observe(m)
 	if err := m.Start(progs); err != nil {
 		t.Fatal(err)
 	}
 	driveWithCrash(t, m, 2, 5)
-	if got := fingerprint(m); got != want {
+	if got := fingerprint(m, obs.events); got != want {
 		t.Fatalf("reset-after-abandon diverges:\n--- fresh ---\n%s--- reset ---\n%s", want, got)
 	}
 }

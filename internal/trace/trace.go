@@ -12,9 +12,9 @@
 // transition, and RMR charges under both models; crash, park, and wake
 // transitions appear as their own records.
 //
-// Tracing is pull-based and deterministic: a run's trace is exactly the
-// event sequence the machine retains (sim.Machine.Trace), or streams through
-// the sim.Observer hook for NoTrace configurations. Because executions replay
+// Tracing is opt-in and deterministic: the machine retains nothing, and a
+// run's trace is exactly the event sequence a Collector attached through the
+// sim.Observer hook receives. Because executions replay
 // byte-identically (the PR 1 guarantee), traces are byte-identical across
 // -parallel settings and across Machine.Reset reuse; the engine's Capture
 // merges per-run traces in submission order to keep that property across a
@@ -28,8 +28,9 @@ import (
 )
 
 // Collector is the trivial sim.Observer: it appends every event to a slice.
-// Attach it with Machine.SetObserver to stream a run whose configuration
-// disables retained traces (NoTrace), or to watch events as they happen.
+// It is how a run's trace is retained. Attach it with Machine.SetObserver
+// before Start (or before a session's Reset, since Start records the
+// construction marks).
 type Collector struct {
 	Events []sim.Event
 }
@@ -38,18 +39,6 @@ var _ sim.Observer = (*Collector)(nil)
 
 // ObserveEvent implements sim.Observer.
 func (c *Collector) ObserveEvent(ev sim.Event) { c.Events = append(c.Events, ev) }
-
-// Reset truncates the buffer in place, keeping capacity for the next run.
-func (c *Collector) Reset() { c.Events = c.Events[:0] }
-
-// Take returns the collected events as a fresh slice and resets the
-// collector, so a recycled machine can keep appending into the old capacity.
-func (c *Collector) Take() []sim.Event {
-	out := make([]sim.Event, len(c.Events))
-	copy(out, c.Events)
-	c.Reset()
-	return out
-}
 
 // Run is one traced execution: its slot in the submission order, a label for
 // humans (algorithm name, reproducer id, experiment cell), the machine shape,

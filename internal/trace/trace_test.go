@@ -40,6 +40,8 @@ func fixtureRun(t *testing.T, model sim.Model) Run {
 			p.Read(c)
 		}},
 	}
+	var col Collector
+	m.SetObserver(&col)
 	if err := m.Start(progs); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func fixtureRun(t *testing.T, model sim.Model) Run {
 			}
 		}
 	}
-	return Run{Index: 0, Label: "fixture", Procs: 2, Model: model, Events: m.Trace()}
+	return Run{Index: 0, Label: "fixture", Procs: 2, Model: model, Events: col.Events}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

@@ -1,7 +1,9 @@
 package mutex_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"rme/internal/algorithms/rspin"
 	"rme/internal/algorithms/tas"
@@ -109,5 +111,42 @@ func TestCSOrderNotDoubledByCrashReentry(t *testing.T) {
 	order := s.CSOrder()
 	if len(order) != 2 {
 		t.Fatalf("CS order = %v: a crashed holder's re-entry must not double-count", order)
+	}
+}
+
+// TestCompletedSessionHoldsNoGoroutine runs sessions to completion, with a
+// crash and a Reset reuse on the way, and drops them without Close: a
+// finished body ends its coroutine, so nothing may be left running.
+func TestCompletedSessionHoldsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		s, err := mutex.NewSession(mutex.Config{
+			Procs: 3, Width: 8, Model: sim.CC, Algorithm: rspin.New(), Passes: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CrashProc(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunRoundRobin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunRoundRobin(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Machine().AllDone() {
+			t.Fatal("session did not run to completion")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after completed sessions, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -176,7 +176,8 @@ func (m *Machine) NewCell(label string, owner int, init word.Word) memory.Cell {
 // Start launches one process per program. Processes are started one at a
 // time and each is run until its first shared-memory step (or completion),
 // so bodies never execute concurrently. After a Reset, Start reuses the
-// existing process structures and gate channels instead of allocating.
+// existing process structures, and the body coroutines of processes the
+// Reset killed mid-run.
 func (m *Machine) Start(programs []Program) error {
 	if m.started {
 		return ErrStarted
@@ -196,7 +197,7 @@ func (m *Machine) Start(programs []Program) error {
 		p := m.procs[i]
 		p.reset(prog)
 		p.launch()
-		if err := m.waitQuiescent(p); err != nil {
+		if err := m.waitQuiescent(p, verdict{}); err != nil {
 			return err
 		}
 	}
@@ -207,8 +208,9 @@ func (m *Machine) Start(programs []Program) error {
 // without allocating: every cell reverts to its initial value with empty
 // cache/accessor/watcher sets, the schedule buffer is truncated in place,
 // all counters clear, and process structures are retained for the next
-// Start. Live process goroutines are terminated first (as in Close),
-// so Reset is legal at any point, including mid-run and after Close.
+// Start. Live bodies are killed first, unwinding to an idle coroutine that
+// the next Start reuses, so Reset is legal at any point, including mid-run
+// and after Close.
 //
 // Equivalence guarantee: a machine that is Reset and re-Started with an
 // identical construction replays byte-identical traces, schedules, and
@@ -217,7 +219,11 @@ func (m *Machine) Start(programs []Program) error {
 // panics, because new cells would break that guarantee.
 func (m *Machine) Reset() {
 	if m.started && !m.closed {
-		m.killLive()
+		for _, pr := range m.procs {
+			if !pr.done {
+				pr.kill()
+			}
+		}
 	}
 	m.started = false
 	m.closed = false
@@ -234,20 +240,20 @@ func (m *Machine) Reset() {
 	m.seq = 0
 }
 
-// waitQuiescent blocks until p has announced its next step or finished.
-// Completion arrives as a fin message on the same channel as operation
-// announcements, so the wait is a plain receive — one channel operation on
-// the step gate instead of a two-way select (measured in EXPERIMENTS.md E15).
+// waitQuiescent resumes p's body with verdict v and runs it until it
+// announces its next step or finishes: one coroutine switch each way.
 // Multi-cell waits (SpinUntilMulti) are handled here: if the predicate
 // already holds the body resumes immediately (and we keep waiting for its
 // next announcement), otherwise the process parks watching all cells.
-func (m *Machine) waitQuiescent(p *Proc) error {
+func (m *Machine) waitQuiescent(p *Proc, v verdict) error {
 	for {
-		req := <-p.pendingCh
-		if req.fin {
-			p.done = true
+		p.verdict = v
+		req, ok := p.next()
+		if ok {
+			p.req = req
+			p.pending = &p.req
 		} else {
-			p.pending = &req
+			p.ended() // the program returned
 		}
 		if p.err != nil {
 			return fmt.Errorf("sim: process %d failed: %w", p.id, p.err)
@@ -255,18 +261,20 @@ func (m *Machine) waitQuiescent(p *Proc) error {
 		if p.done || !p.pending.isWait() {
 			return nil
 		}
-		if !m.registerWait(p) {
+		vals, ok := m.registerWait(p)
+		if !ok {
 			return nil // parked
 		}
-		// Predicate already satisfied: the body resumed; await its next
-		// announcement.
+		// Predicate already satisfied: resume the body with the values and
+		// await its next announcement.
+		v = verdict{vals: vals}
 	}
 }
 
 // registerWait charges the registration reads of a multi-cell wait, then
-// either resumes the body (predicate holds) and reports true, or parks the
-// process watching every cell and reports false.
-func (m *Machine) registerWait(p *Proc) bool {
+// either returns the values to resume the body with (predicate holds), or
+// parks the process watching every cell and reports false.
+func (m *Machine) registerWait(p *Proc) ([]word.Word, bool) {
 	req := p.pending
 	vals := make([]word.Word, len(req.multi))
 	for i, c := range req.multi {
@@ -292,14 +300,13 @@ func (m *Machine) registerWait(p *Proc) bool {
 	}
 	if req.multiPred(vals) {
 		p.pending = nil
-		p.resumeCh <- verdict{vals: vals}
-		return true
+		return vals, true
 	}
 	p.parked = true
 	for _, c := range req.multi {
 		c.watchers.Set(p.id)
 	}
-	return false
+	return nil, false
 }
 
 // checkProc validates that process p can take an action.
@@ -366,8 +373,7 @@ func (m *Machine) Step(p int) (Event, error) {
 	}
 
 	// Resume the body with the operation's result.
-	pr.resumeCh <- verdict{ret: ev.Ret}
-	if err := m.waitQuiescent(pr); err != nil {
+	if err := m.waitQuiescent(pr, verdict{ret: ev.Ret}); err != nil {
 		return ev, err
 	}
 	return ev, nil
@@ -415,8 +421,7 @@ func (m *Machine) resolveWakes(c *simCell) error {
 		}
 		qr.pending = nil
 		qr.parked = false
-		qr.resumeCh <- verdict{vals: vals}
-		if err := m.waitQuiescent(qr); err != nil {
+		if err := m.waitQuiescent(qr, verdict{vals: vals}); err != nil {
 			return err
 		}
 	}
@@ -508,8 +513,7 @@ func (m *Machine) Crash(p int) (Event, error) {
 	ev := Event{Seq: m.seq, Kind: EvCrash, Proc: p}
 	m.record(ev)
 	m.schedule = append(m.schedule, Action{Proc: p, Crash: true})
-	pr.resumeCh <- verdict{crash: true}
-	if err := m.waitQuiescent(pr); err != nil {
+	if err := m.waitQuiescent(pr, verdict{crash: true}); err != nil {
 		return ev, err
 	}
 	return ev, nil
@@ -545,35 +549,15 @@ func (m *Machine) record(ev Event) {
 // machine must Reset and re-Start it to see the whole run.
 func (m *Machine) SetObserver(o Observer) { m.obs = o }
 
-// Close shuts the machine down, terminating all process goroutines. It is
-// idempotent and must be called (typically deferred) to avoid goroutine
-// leaks when an execution is abandoned before all processes finish.
+// Close shuts the machine down, ending every body coroutine: live bodies
+// unwind, and idle ones left by a Reset return. It is idempotent and must be
+// called (typically deferred) to avoid goroutine leaks when an execution is
+// abandoned before all processes finish or after a Reset. A machine whose
+// bodies have all finished holds no goroutine.
 func (m *Machine) Close() {
-	if m.closed || !m.started {
-		m.closed = true
-		return
-	}
 	m.closed = true
-	m.killLive()
-}
-
-// killLive terminates every live body goroutine. A live body is either
-// blocked on resumeCh awaiting a verdict, or (transiently) blocked sending
-// its fin announcement; the select covers both without deadlocking.
-func (m *Machine) killLive() {
 	for _, pr := range m.procs {
-		if pr.done {
-			continue
-		}
-		select {
-		case pr.resumeCh <- verdict{kill: true}:
-		case req := <-pr.pendingCh:
-			if !req.fin {
-				pr.resumeCh <- verdict{kill: true}
-			}
-		}
-		<-pr.doneCh
-		pr.done = true
+		pr.close()
 	}
 }
 

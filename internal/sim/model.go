@@ -5,12 +5,13 @@
 // (DSM) models, and individual crash steps that reset a process's local state
 // while shared memory persists.
 //
-// Algorithm code runs on goroutines but is *step-gated*: every shared-memory
-// operation blocks at a gate until the controller (a test, driver, or the
-// lower-bound adversary) grants the step. Exactly one process body runs at a
-// time, so executions are fully determined by their schedule and can be
-// replayed — which is how the adversary materializes the proof's
-// exponentially many sub-schedules on demand.
+// Algorithm code is ordinary blocking Go, run as one coroutine per process
+// (iter.Pull) and *step-gated*: every shared-memory operation yields at a gate
+// until the controller (a test, driver, or the lower-bound adversary) grants
+// the step and resumes the body. Exactly one process body runs at a time, so
+// executions are fully determined by their schedule and can be replayed —
+// which is how the adversary materializes the proof's exponentially many
+// sub-schedules on demand.
 package sim
 
 import "fmt"

@@ -1,33 +1,46 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"rme/internal/memory"
 	"rme/internal/word"
 )
 
 // Proc is one simulated process. It implements memory.Env for the algorithm
-// code running on its body goroutine; every Env call blocks at the step gate
-// until the controller grants the step (or delivers a crash).
+// code running in its body coroutine (an iter.Pull coroutine over runLoop);
+// every Env call yields at the step gate until the controller resumes it
+// with a verdict (a granted step's result, a crash, or a kill).
 //
 // Proc methods fall into two groups:
 //
-//   - Env methods and Mark/SetTag: callable only from the body goroutine;
+//   - Env methods and Mark/SetTag: callable only from the body;
 //   - everything else is controller-side and lives on Machine.
 type Proc struct {
 	id      int
 	m       *Machine
 	program Program
 
-	// Gate channels. The body sends its next operation on pendingCh and
-	// blocks receiving a verdict on resumeCh.
-	pendingCh chan stepReq
-	resumeCh  chan verdict
-	doneCh    chan struct{}
+	// The body coroutine. next resumes it until its next announcement
+	// (reported false once the program has returned, which ends the
+	// coroutine); stop ends it. Both are nil while no coroutine exists.
+	// yield is the body's side of the handoff.
+	next  func() (stepReq, bool)
+	stop  func()
+	yield func(stepReq) bool
 
-	// Controller-side state; only touched while the body is blocked.
+	// verdict is the controller's answer to the last announcement, written
+	// before the body is resumed.
+	verdict verdict
+
+	// Controller-side state; only touched while the body is suspended.
+	// pending points at req while an announcement awaits a verdict; keeping
+	// the request in the Proc keeps the step path allocation-free.
+	req     stepReq
 	pending *stepReq
 	parked  bool
 	done    bool
@@ -41,8 +54,7 @@ type Proc struct {
 
 var _ memory.Env = (*Proc)(nil)
 
-// stepReq is an announced shared-memory operation, a multi-cell wait, or the
-// body's final "finished" announcement.
+// stepReq is an announced shared-memory operation or a multi-cell wait.
 type stepReq struct {
 	cell *simCell
 	op   memory.Op
@@ -52,13 +64,6 @@ type stepReq struct {
 	// until multiPred holds for the watched cells' values.
 	multi     []*simCell
 	multiPred func([]word.Word) bool
-
-	// fin marks the body's last message: the program returned (or failed with
-	// p.err set) and no further operations follow. Delivering completion on
-	// the announcement channel keeps the controller's quiescence wait a plain
-	// channel receive instead of a two-way select — the step gate is the
-	// simulator's hottest path (see EXPERIMENTS.md E15).
-	fin bool
 }
 
 // isWait reports whether the request is a multi-cell wait (not a step).
@@ -72,29 +77,23 @@ type verdict struct {
 	kill  bool
 }
 
-// Sentinels unwinding the body goroutine.
+// Sentinels unwinding the body.
 var (
 	errCrashed = errors.New("sim: crash step")
 	errKilled  = errors.New("sim: killed")
 )
 
+// newProc makes a process with no body yet; it counts as done until its
+// first launch, so no kill or close waits on it.
 func newProc(m *Machine, id int) *Proc {
-	return &Proc{
-		id:        id,
-		m:         m,
-		pendingCh: make(chan stepReq),
-		resumeCh:  make(chan verdict),
-	}
+	return &Proc{id: id, m: m, done: true}
 }
 
-// reset prepares the process for a (re-)launch: the program is installed,
-// all controller-side state and counters clear, and a fresh doneCh is made
-// (the previous one, if any, was closed when the body goroutine exited).
-// The unbuffered gate channels are reused: after kill/finish the body
-// goroutine holds neither, so they are guaranteed empty.
+// reset prepares the process for a (re-)launch: the program is installed and
+// all controller-side state and counters clear. An idle coroutine left by a
+// kill is kept for the launch to reuse.
 func (p *Proc) reset(program Program) {
 	p.program = program
-	p.doneCh = make(chan struct{})
 	p.pending = nil
 	p.parked = false
 	p.done = false
@@ -106,13 +105,41 @@ func (p *Proc) reset(program Program) {
 	p.tag = 0
 }
 
-// launch starts the body goroutine. The controller must waitQuiescent
-// immediately after, so bodies never run concurrently. The done channel is
-// captured here: a finished body may still be between its fin announcement
-// and the deferred close when the controller already Resets and replaces
-// p.doneCh, and it must close the channel of its own launch, not the new one.
+// launch makes the body coroutine if the process has none (first launch, or
+// the previous program finished and ended its coroutine). The controller
+// must waitQuiescent immediately after: that first resume starts the
+// program, either at the top of a new coroutine or from the idle yield a
+// killed body left in runLoop.
 func (p *Proc) launch() {
-	go p.runLoop(p.doneCh)
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.runLoop)
+	}
+}
+
+// kill unwinds a live body to the idle yield in runLoop, leaving the
+// coroutine for the next launch.
+func (p *Proc) kill() {
+	p.verdict = verdict{kill: true}
+	if _, ok := p.next(); !ok {
+		p.ended() // the unwind failed (p.err is set) and ended the coroutine
+	}
+	p.done = true
+}
+
+// close ends the body coroutine, if any: a suspended body unwinds as if
+// killed, and the coroutine returns instead of idling.
+func (p *Proc) close() {
+	if p.stop != nil {
+		p.stop()
+	}
+	p.ended()
+}
+
+// ended marks the process done once its coroutine has returned, dropping
+// the handles so that the next launch makes a new one.
+func (p *Proc) ended() {
+	p.next, p.stop, p.yield = nil, nil, nil
+	p.done = true
 }
 
 type bodyOutcome int
@@ -123,22 +150,25 @@ const (
 	outcomeKilled
 )
 
-// runLoop runs the program, restarting with Recover after each crash step.
-// Normal completion (and body failure, with p.err set) is announced as a fin
-// message on the gate channel; a kill unwinds silently — the controller that
-// sent it waits on done instead.
-func (p *Proc) runLoop(done chan struct{}) {
-	defer close(done)
+// runLoop is the body coroutine. It runs the program, restarting with
+// Recover after each crash step. A program that returns (or fails, with
+// p.err set) ends the coroutine, so a finished process holds no goroutine.
+// A killed program unwinds to the idle yield here, where the coroutine waits
+// for the next launch's program, or for stop.
+func (p *Proc) runLoop(yield func(stepReq) bool) {
+	p.yield = yield
 	recovering := false
 	for {
 		switch p.runOnce(recovering) {
 		case outcomeFinished:
-			p.pendingCh <- stepReq{fin: true}
-			return
-		case outcomeKilled:
 			return
 		case outcomeCrashed:
 			recovering = true
+		case outcomeKilled:
+			if !yield(stepReq{}) {
+				return
+			}
+			recovering = false
 		}
 	}
 }
@@ -168,17 +198,16 @@ func (p *Proc) runOnce(recovering bool) (outcome bodyOutcome) {
 	return outcomeFinished
 }
 
-// announce parks the body at the step gate and returns the granted result.
+// announce suspends the body at the step gate and returns the granted
+// result. A false yield means the coroutine is being stopped.
 func (p *Proc) announce(req stepReq) word.Word {
-	p.pendingCh <- req
-	v := <-p.resumeCh
-	if v.crash {
-		panic(errCrashed)
-	}
-	if v.kill {
+	if !p.yield(req) || p.verdict.kill {
 		panic(errKilled)
 	}
-	return v.ret
+	if p.verdict.crash {
+		panic(errCrashed)
+	}
+	return p.verdict.ret
 }
 
 // cell resolves a memory.Cell to this machine's representation.
@@ -251,15 +280,8 @@ func (p *Proc) SpinUntilMulti(cells []memory.Cell, pred func([]word.Word) bool) 
 
 // announceWait submits a multi-cell wait and returns the satisfying values.
 func (p *Proc) announceWait(req stepReq) []word.Word {
-	p.pendingCh <- req
-	v := <-p.resumeCh
-	if v.crash {
-		panic(errCrashed)
-	}
-	if v.kill {
-		panic(errKilled)
-	}
-	return v.vals
+	p.announce(req)
+	return p.verdict.vals
 }
 
 // --- body annotations ---------------------------------------------------------
@@ -277,7 +299,7 @@ func (p *Proc) Mark(note string) {
 func (p *Proc) SetTag(tag int) { p.tag = tag }
 
 // RMRCount returns the process's RMR count under the given model. It is safe
-// from the body goroutine (between steps) and from the controller.
+// from the body (between steps) and from the controller.
 func (p *Proc) RMRCount(m Model) int {
 	if m == DSM {
 		return p.rmrDSM

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -36,17 +37,8 @@ import (
 	"strings"
 	"time"
 
+	"rme"
 	"rme/internal/adversary"
-	"rme/internal/algorithms/clh"
-	"rme/internal/algorithms/grlock"
-	"rme/internal/algorithms/mcs"
-	"rme/internal/algorithms/qword"
-	"rme/internal/algorithms/rspin"
-	"rme/internal/algorithms/tas"
-	"rme/internal/algorithms/ticket"
-	"rme/internal/algorithms/tournament"
-	"rme/internal/algorithms/watree"
-	"rme/internal/algorithms/yatree"
 	"rme/internal/cliutil"
 	"rme/internal/engine"
 	"rme/internal/faults"
@@ -65,56 +57,27 @@ func main() {
 	}
 }
 
-func algorithms() map[string]mutex.Algorithm {
-	return map[string]mutex.Algorithm{
-		"tas":         tas.New(),
-		"ticket":      ticket.New(),
-		"mcs":         mcs.New(),
-		"clh":         clh.New(),
-		"tournament":  tournament.New(),
-		"yatree":      yatree.New(),
-		"grlock":      grlock.New(),
-		"rspin":       rspin.New(),
-		"watree":      watree.New(),
-		"watree2":     watree.New(watree.WithFanout(2)),
-		"watree-fast": watree.New(watree.WithFastPath()),
-		"qword":       qword.New(),
-	}
-}
-
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("rmeadversary", flag.ContinueOnError)
-	algName := fs.String("alg", "watree", "algorithm: tas, ticket, mcs, clh, tournament, grlock, rspin, watree, watree2")
+	algName := fs.String("alg", "watree", "algorithm: "+strings.Join(rme.AlgorithmNames(), ", "))
 	n := fs.Int("n", 64, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
-	modelName := fs.String("model", "cc", "cost model: cc or dsm")
+	model := cliutil.ModelFlag(fs, "cost model")
 	k := fs.Int("k", 0, "high-contention threshold (0 = w^2)")
 	sweep := fs.String("sweep", "", "comma-separated n values; runs one construction per n and prints a summary table")
 	parallel := fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS); summary rows are identical at any value")
-	seed := fs.Int64("seed", 0, "accepted for CLI uniformity; the construction is deterministic and ignores it")
-	tracePath := fs.String("trace", "", "replay the final adversarial schedule traced and export it to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs of the traced replay to stderr (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	tr := cliutil.TraceFlags(fs, "the replayed final adversarial schedule")
+	prof := cliutil.ProfileFlags(fs)
 	tele := cliutil.TelemetryFlags(fs)
 	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmeadversary"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() { err = cmp.Or(err, stopProf()) }()
 	stopTele, err := tele.Start("adversary", telemetry.View{
 		Progress: "adversary_rounds",
 		Target:   "adversary_max_rounds",
@@ -130,30 +93,18 @@ func run(args []string) error {
 	}
 	defer stopTele()
 
-	alg, ok := algorithms()[strings.ToLower(*algName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algName)
-	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
-	}
-
-	if *seed != 0 {
-		fmt.Fprintln(os.Stderr, "note: the adversary construction is fully deterministic; -seed has no effect")
+	alg, err := rme.NewAlgorithm(*algName)
+	if err != nil {
+		return err
 	}
 	if *sweep != "" {
-		err := runSweep(alg, *sweep, *w, model, *k, *parallel, tele, ledger)
-		if herr := cliutil.WriteHeapProfile(*memProfile); err == nil {
-			err = herr
-		}
-		return err
+		return runSweep(alg, *sweep, *w, *model, *k, *parallel, tele, ledger)
 	}
 
 	constructionStart := time.Now()
 	adv, err := adversary.New(adversary.Config{
 		Session: mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
+			Procs: *n, Width: word.Width(*w), Model: *model, Algorithm: alg,
 		},
 		K:         *k,
 		Telemetry: tele.Registry(),
@@ -168,23 +119,19 @@ func run(args []string) error {
 		return err
 	}
 
-	if *tracePath != "" || *top > 0 {
+	if tr.Enabled() {
 		events, _, rerr := faults.ReplayTraced(mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
+			Procs: *n, Width: word.Width(*w), Model: *model, Algorithm: alg,
 		}, rep.Schedule)
 		if rerr != nil {
 			return fmt.Errorf("trace final schedule: %w", rerr)
 		}
 		runs := []trace.Run{{
-			Label: "adversary " + alg.Name(), Procs: *n, Model: model, Events: events,
+			Label: "adversary " + alg.Name(), Procs: *n, Model: *model, Events: events,
 		}}
-		cliutil.SummarizeTrace(os.Stderr, runs, model, *top)
-		if err := cliutil.ExportTrace(*tracePath, *traceFormat, runs); err != nil {
+		if err := tr.Write(os.Stderr, runs, *model); err != nil {
 			return err
 		}
-	}
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
 	}
 
 	fmt.Printf("adversary vs %s: n=%d w=%d model=%s k=%d\n\n",
@@ -212,7 +159,7 @@ func run(args []string) error {
 		return fmt.Errorf("%d invariant violations", len(rep.InvariantViolations))
 	}
 	fmt.Printf("invariant audit:    clean\n")
-	m := advManifest(alg.Name(), rep.Procs, *w, model, *k, rep)
+	m := advManifest(alg.Name(), rep.Procs, *w, *model, *k, rep)
 	m.Sample("wall_ms", float64(time.Since(constructionStart).Microseconds())/1000)
 	return ledger.Emit(tele.Registry(), m)
 }

@@ -3,7 +3,10 @@ package main
 import (
 	"io"
 	"os"
+	"strings"
 	"testing"
+
+	"rme"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -55,5 +58,34 @@ func TestStdoutParityAcrossParallelism(t *testing.T) {
 	}
 	if len(one) == 0 {
 		t.Fatal("no output captured")
+	}
+}
+
+// TestBadFlags covers the CLI's flag error paths: each must fail before any
+// work runs, and a -model typo must not fall back to CC.
+func TestBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-alg", "nosuchlock"}, `unknown algorithm "nosuchlock"`},
+		{[]string{"-model", "dms"}, `unknown model "dms" (want cc or dsm)`},
+		{[]string{"-traceformat", "bogus"}, `unknown format "bogus"`},
+	} {
+		_, err := captureStdout(t, func() error { return run(c.args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestEveryRegistryAlgorithm: every name in the shared registry resolves
+// and runs here, so the CLIs accept one and the same set of algorithms.
+func TestEveryRegistryAlgorithm(t *testing.T) {
+	for _, name := range rme.AlgorithmNames() {
+		args := []string{"-alg", name, "-n", "4", "-w", "16"}
+		if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
+		}
 	}
 }

@@ -47,6 +47,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -54,21 +55,11 @@ import (
 	"strings"
 	"time"
 
-	"rme/internal/algorithms/clh"
-	"rme/internal/algorithms/grlock"
-	"rme/internal/algorithms/mcs"
-	"rme/internal/algorithms/qword"
-	"rme/internal/algorithms/rspin"
-	"rme/internal/algorithms/tas"
-	"rme/internal/algorithms/ticket"
-	"rme/internal/algorithms/tournament"
-	"rme/internal/algorithms/watree"
-	"rme/internal/algorithms/yatree"
+	"rme"
 	"rme/internal/check"
 	"rme/internal/cliutil"
 	"rme/internal/mutex"
 	"rme/internal/perflog"
-	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/trace"
 	"rme/internal/word"
@@ -132,12 +123,12 @@ type jsonReport struct {
 	Provenance perflog.Provenance `json:"provenance"`
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("rmecheck", flag.ContinueOnError)
-	algName := fs.String("alg", "watree", "algorithm: tas, ticket, mcs, clh, tournament, grlock, rspin, watree")
+	algName := fs.String("alg", "watree", "algorithm: "+strings.Join(rme.AlgorithmNames(), ", "))
 	n := fs.Int("n", 2, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
-	modelName := fs.String("model", "cc", "cost model: cc or dsm")
+	model := cliutil.ModelFlag(fs, "cost model")
 	crashes := fs.Int("crashes", 1, "crash steps per process to branch over (recoverable algorithms)")
 	maxSched := fs.Int("max", 50_000, "exhaustive schedule cap")
 	stressN := fs.Int("stress", 200, "randomized stress seeds (0 to skip)")
@@ -155,51 +146,31 @@ func run(args []string) error {
 	spillDir := fs.String("spilldir", "", "directory for spilled waves and the resume checkpoint")
 	resume := fs.Bool("resume", false, "continue a checkpointed -sharedset run from -spilldir")
 	jsonOut := fs.Bool("json", false, "emit one JSON report on stdout instead of text")
-	tracePath := fs.String("trace", "", "export a step-level trace of the crash-free reference run to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs of the reference run to stderr (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	tr := cliutil.TraceFlags(fs, "the crash-free reference run")
+	prof := cliutil.ProfileFlags(fs)
 	tele := cliutil.TelemetryFlags(fs)
 	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmecheck"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() { err = cmp.Or(err, stopProf()) }()
 	stopTele, err := tele.Start("check", telemetryView(*memo || *sharedSet, *sharedSet))
 	if err != nil {
 		return err
 	}
 	defer stopTele()
 
-	algs := map[string]mutex.Algorithm{
-		"tas": tas.New(), "ticket": ticket.New(), "mcs": mcs.New(), "clh": clh.New(),
-		"tournament": tournament.New(), "yatree": yatree.New(), "grlock": grlock.New(),
-		"rspin": rspin.New(), "watree": watree.New(), "qword": qword.New(),
-	}
-	alg, ok := algs[strings.ToLower(*algName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algName)
-	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
+	alg, err := rme.NewAlgorithm(*algName)
+	if err != nil {
+		return err
 	}
 	cfg := check.Config{
 		Session: mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
+			Procs: *n, Width: word.Width(*w), Model: *model, Algorithm: alg,
 		},
 		MaxSchedules:     *maxSched,
 		CrashesPerProc:   *crashes,
@@ -219,8 +190,12 @@ func run(args []string) error {
 		Telemetry:        tele.Registry(),
 	}
 
-	if *tracePath != "" || *top > 0 {
-		if err := traceReference(cfg.Session, *tracePath, *traceFormat, *top); err != nil {
+	if tr.Enabled() {
+		runs, err := traceReference(cfg.Session)
+		if err != nil {
+			return err
+		}
+		if err := tr.Write(os.Stderr, runs, *model); err != nil {
 			return err
 		}
 	}
@@ -235,7 +210,7 @@ func run(args []string) error {
 		m.SetConfig("alg", alg.Name())
 		m.SetConfig("n", *n)
 		m.SetConfig("w", *w)
-		m.SetConfig("model", model)
+		m.SetConfig("model", *model)
 		m.SetConfig("crashes", *crashes)
 		m.SetConfig("max", *maxSched)
 		m.SetConfig("stress", *stressN)
@@ -258,12 +233,7 @@ func run(args []string) error {
 
 	checkStart := time.Now()
 	if *jsonOut {
-		exh, stress, err := runJSON(cfg, alg.Name(), model, *crashes, *stressN, *sharedSet, *wave)
-		// The heap profile is written even when the check failed: profiling a
-		// run that found a violation is still profiling.
-		if herr := cliutil.WriteHeapProfile(*memProfile); err == nil {
-			err = herr
-		}
+		exh, stress, err := runJSON(cfg, alg.Name(), *crashes, *stressN, *sharedSet, *wave)
 		if err != nil {
 			return err
 		}
@@ -272,7 +242,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("exhaustive: %s n=%d w=%d model=%s crashes<=%d memo=%v por=%v symmetry=%v\n",
-		alg.Name(), *n, *w, model, *crashes, *memo, *por, *symmetry)
+		alg.Name(), *n, *w, *model, *crashes, *memo, *por, *symmetry)
 	start := time.Now()
 	res, err := check.Exhaustive(cfg)
 	if err != nil {
@@ -308,9 +278,6 @@ func run(args []string) error {
 		}
 	}
 	fmt.Println("OK")
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
-	}
 	wall := float64(time.Since(checkStart).Microseconds()) / 1000
 	return ledger.Emit(tele.Registry(), newManifest(res, stressRes, wall))
 }
@@ -373,14 +340,14 @@ func telemetryView(memo, sharedSet bool) telemetry.View {
 
 // runJSON runs the same phases as the text path but emits one JSON document,
 // returning both phases' results for the perf ledger.
-func runJSON(cfg check.Config, algName string, model sim.Model, crashes, stress int, sharedSet bool, wave int) (*check.Result, *check.Result, error) {
+func runJSON(cfg check.Config, algName string, crashes, stress int, sharedSet bool, wave int) (*check.Result, *check.Result, error) {
 	res, err := check.Exhaustive(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	doc := jsonReport{
 		Algorithm: algName, Procs: cfg.Session.Procs, Width: int(cfg.Session.Width),
-		Model: model.String(), Crashes: crashes, Memo: cfg.Memo || sharedSet, POR: cfg.POR,
+		Model: cfg.Session.Model.String(), Crashes: crashes, Memo: cfg.Memo || sharedSet, POR: cfg.POR,
 		Symmetry: cfg.Symmetry, SharedSet: sharedSet,
 		Exhaustive: toReport(res), OK: res.Ok(), Provenance: perflog.Build(),
 	}
@@ -411,28 +378,26 @@ func runJSON(cfg check.Config, algName string, model sim.Model, crashes, stress 
 }
 
 // traceReference runs the checked configuration crash-free round-robin on a
-// traced machine and exports/summarizes its event stream.
-func traceReference(cfg mutex.Config, path, format string, top int) error {
+// traced machine and returns its event stream.
+func traceReference(cfg mutex.Config) ([]trace.Run, error) {
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer s.Close()
 	// Reset after attaching so the collector sees the construction marks.
 	var col trace.Collector
 	s.Machine().SetObserver(&col)
 	if err := s.Reset(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.RunRoundRobin(); err != nil {
-		return err
+		return nil, err
 	}
-	runs := []trace.Run{{
+	return []trace.Run{{
 		Label: "reference " + cfg.Algorithm.Name(), Procs: cfg.Procs, Model: cfg.Model,
 		Events: col.Events,
-	}}
-	cliutil.SummarizeTrace(os.Stderr, runs, cfg.Model, top)
-	return cliutil.ExportTrace(path, format, runs)
+	}}, nil
 }
 
 func report(res *check.Result) error {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rme"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -197,5 +199,34 @@ func TestTextOutputSurfacesSearchStats(t *testing.T) {
 	}
 	if !strings.Contains(plain, "memo=false por=false") || !strings.Contains(plain, "OK") {
 		t.Fatalf("plain run output unexpected:\n%s", plain)
+	}
+}
+
+// TestBadFlags covers the CLI's flag error paths: each must fail before any
+// work runs, and a -model typo must not fall back to CC.
+func TestBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-alg", "nosuchlock"}, `unknown algorithm "nosuchlock"`},
+		{[]string{"-model", "dms"}, `unknown model "dms" (want cc or dsm)`},
+		{[]string{"-traceformat", "bogus"}, `unknown format "bogus"`},
+	} {
+		_, err := captureStdout(t, func() error { return run(c.args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestEveryRegistryAlgorithm: every name in the shared registry resolves
+// and runs here, so the CLIs accept one and the same set of algorithms.
+func TestEveryRegistryAlgorithm(t *testing.T) {
+	for _, name := range rme.AlgorithmNames() {
+		args := []string{"-alg", name, "-n", "2", "-crashes", "0", "-stress", "0", "-max", "500"}
+		if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
+		}
 	}
 }

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -37,21 +38,11 @@ import (
 	"strings"
 	"time"
 
-	"rme/internal/algorithms/clh"
-	"rme/internal/algorithms/grlock"
-	"rme/internal/algorithms/mcs"
-	"rme/internal/algorithms/qword"
-	"rme/internal/algorithms/rspin"
-	"rme/internal/algorithms/tas"
-	"rme/internal/algorithms/ticket"
-	"rme/internal/algorithms/tournament"
-	"rme/internal/algorithms/watree"
-	"rme/internal/algorithms/yatree"
+	"rme"
 	"rme/internal/cliutil"
 	"rme/internal/faults"
 	"rme/internal/mutex"
 	"rme/internal/perflog"
-	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/trace"
 	"rme/internal/word"
@@ -76,12 +67,12 @@ func telemetryView() telemetry.View {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("rmefault", flag.ContinueOnError)
-	algName := fs.String("alg", "watree", "algorithm: tas, ticket, mcs, clh, tournament, yatree, grlock, rspin, qword, watree, watree2, broken")
+	algName := fs.String("alg", "watree", "algorithm: "+strings.Join(rme.AlgorithmNames(), ", ")+", broken")
 	n := fs.Int("n", 3, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
-	modelName := fs.String("model", "cc", "cost model: cc or dsm")
+	model := cliutil.ModelFlag(fs, "cost model")
 	passes := fs.Int("passes", 1, "super-passages per process")
 	seed := fs.Int64("seed", 1, "campaign base seed (threaded into every random source)")
 	sourcesFlag := fs.String("sources", "", "comma-separated campaign axes: single, double, rmr, parked, system, random (default: all valid for the algorithm)")
@@ -92,48 +83,31 @@ func run(args []string) error {
 	failFast := fs.Bool("failfast", false, "stop launching runs after the first failure (faster, non-deterministic report)")
 	noShrink := fs.Bool("noshrink", false, "report full failing schedules instead of minimized reproducers")
 	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON on stdout")
-	tracePath := fs.String("trace", "", "export step-level traces of the failure reproducers (or the probe run) to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs of the traced replays to stderr (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	tr := cliutil.TraceFlags(fs, "the failure reproducers (or the probe run)")
+	prof := cliutil.ProfileFlags(fs)
 	tele := cliutil.TelemetryFlags(fs)
 	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmefault"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() { err = cmp.Or(err, stopProf()) }()
 	stopTele, err := tele.Start("fault", telemetryView())
 	if err != nil {
 		return err
 	}
 	defer stopTele()
 
-	algs := map[string]mutex.Algorithm{
-		"tas": tas.New(), "ticket": ticket.New(), "mcs": mcs.New(), "clh": clh.New(),
-		"tournament": tournament.New(), "yatree": yatree.New(), "grlock": grlock.New(),
-		"rspin": rspin.New(), "watree": watree.New(), "watree2": watree.New(watree.WithFanout(2)),
-		"qword": qword.New(), "broken": faults.NewBroken(),
-	}
-	alg, ok := algs[strings.ToLower(*algName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algName)
-	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
+	// "broken" is the crash-unsafe demonstration lock; it stays out of the
+	// public registry.
+	var alg mutex.Algorithm
+	if strings.EqualFold(*algName, "broken") {
+		alg = faults.NewBroken()
+	} else if alg, err = rme.NewAlgorithm(*algName); err != nil {
+		return err
 	}
 
 	sources, err := buildSources(*sourcesFlag, alg.Recoverable(), *seed, *runs)
@@ -150,7 +124,7 @@ func run(args []string) error {
 
 	c := faults.Campaign{
 		Session: mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg, Passes: *passes,
+			Procs: *n, Width: word.Width(*w), Model: *model, Algorithm: alg, Passes: *passes,
 		},
 		Sources:   sources,
 		Oracles:   oracles,
@@ -178,7 +152,7 @@ func run(args []string) error {
 		m.SetConfig("alg", alg.Name())
 		m.SetConfig("n", *n)
 		m.SetConfig("w", *w)
-		m.SetConfig("model", model)
+		m.SetConfig("model", *model)
 		m.SetConfig("passes", *passes)
 		m.SetConfig("seed", *seed)
 		m.SetConfig("sources", *sourcesFlag)
@@ -201,29 +175,25 @@ func run(args []string) error {
 		return ledger.Emit(tele.Registry(), m)
 	}
 
-	if *tracePath != "" || *top > 0 {
+	if tr.Enabled() {
 		runs, err := tracedReplays(rep)
 		if err != nil {
 			return err
 		}
 		// Attribution goes to stderr: -json stdout stays machine-clean.
-		cliutil.SummarizeTrace(os.Stderr, runs, model, *top)
-		if err := cliutil.ExportTrace(*tracePath, *traceFormat, runs); err != nil {
+		if err := tr.Write(os.Stderr, runs, *model); err != nil {
 			return err
 		}
 	}
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
-	}
 
 	if *jsonOut {
-		if err := emitJSON(rep, model); err != nil {
+		if err := emitJSON(rep); err != nil {
 			return err
 		}
 		return emitLedger()
 	}
 	fmt.Printf("campaign: %s n=%d w=%d model=%s passes=%d seed=%d\n",
-		rep.Algorithm, *n, *w, model, *passes, rep.Seed)
+		rep.Algorithm, *n, *w, *model, *passes, rep.Seed)
 	fmt.Printf("probe: %d decisions, %d RMR-incurring; bound %d\n",
 		rep.Probe.Steps, len(rep.Probe.RMRAt), rep.Bound)
 	for _, st := range rep.Sources {
@@ -338,12 +308,12 @@ type jsonReport struct {
 	Provenance perflog.Provenance  `json:"provenance"`
 }
 
-func emitJSON(rep *faults.Report, model sim.Model) error {
+func emitJSON(rep *faults.Report) error {
 	out := jsonReport{
 		Algorithm:  rep.Algorithm,
 		Procs:      rep.Cfg.Procs,
 		Width:      int(rep.Cfg.Width),
-		Model:      model.String(),
+		Model:      rep.Cfg.Model.String(),
 		Passes:     rep.Cfg.Passes,
 		Seed:       rep.Seed,
 		Bound:      rep.Bound,

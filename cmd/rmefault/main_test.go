@@ -6,7 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"rme"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -132,5 +135,34 @@ func TestJSONReportMachineReadable(t *testing.T) {
 	}
 	if rep.Failures[0].Shrunk == "" {
 		t.Fatal("failure carries no shrunk reproducer")
+	}
+}
+
+// TestBadFlags covers the CLI's flag error paths: each must fail before any
+// work runs, and a -model typo must not fall back to CC.
+func TestBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-alg", "nosuchlock"}, `unknown algorithm "nosuchlock"`},
+		{[]string{"-model", "dms"}, `unknown model "dms" (want cc or dsm)`},
+		{[]string{"-traceformat", "bogus"}, `unknown format "bogus"`},
+	} {
+		_, err := captureStdout(t, func() error { return run(c.args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestEveryRegistryAlgorithm: every name in the shared registry resolves
+// and runs here, so the CLIs accept one and the same set of algorithms.
+func TestEveryRegistryAlgorithm(t *testing.T) {
+	for _, name := range rme.AlgorithmNames() {
+		args := []string{"-alg", name, "-n", "2", "-sources", "random", "-runs", "2"}
+		if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
+		}
 	}
 }

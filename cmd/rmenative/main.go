@@ -146,7 +146,7 @@ func pointManifest(pt pointRecord, w word.Width, warmup, crashEvery int, noSim b
 func run(args []string) error {
 	fs := flag.NewFlagSet("rmenative", flag.ContinueOnError)
 	algsFlag := fs.String("algs", "watree,mcs,clh,ticket,qword",
-		"comma-separated algorithm names (see rme.Algorithms)")
+		"comma-separated algorithm names: "+strings.Join(rme.AlgorithmNames(), ", "))
 	procsFlag := fs.String("procs", "1,2,4,8",
 		"comma-separated GOMAXPROCS sweep: each value is both the process count and GOMAXPROCS")
 	passes := fs.Int("passes", 2000, "timed super-passages per process per point")
@@ -160,13 +160,8 @@ func run(args []string) error {
 		"merge the report into an existing rmrbench JSON report under the \"native\" key")
 	tele := cliutil.TelemetryFlags(fs)
 	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
-	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmenative"))
-		return nil
 	}
 	algs, err := parseAlgs(*algsFlag)
 	if err != nil {

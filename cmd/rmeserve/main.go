@@ -37,7 +37,6 @@ import (
 	"rme/internal/cliutil"
 	"rme/internal/perflog"
 	"rme/internal/service"
-	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/word"
 )
@@ -55,8 +54,8 @@ func run(args []string) error {
 	clients := fs.Int("clients", 1_000_000, "keyspace size (client records)")
 	passages := fs.Int64("passages", 10_000, "passage target; the run stops once reached")
 	dist := fs.String("dist", "zipf:1.1", "arrival distribution: uniform, zipf[:theta], bursty[:frac]")
-	algName := fs.String("alg", "watree", "lock algorithm every shard runs (see rme.Algorithms)")
-	modelName := fs.String("model", "cc", "RMR cost model: cc or dsm")
+	algName := fs.String("alg", "watree", "lock algorithm every shard runs: "+strings.Join(rme.AlgorithmNames(), ", "))
+	model := cliutil.ModelFlag(fs, "RMR cost model")
 	w := fs.Int("w", 8, "machine word size in bits")
 	slots := fs.Int("slots", 8, "per-shard batch width (processes per sim run)")
 	rate := fs.Int("rate", 0, "arrival budget per round (0 = 2*locks*slots)")
@@ -67,27 +66,13 @@ func run(args []string) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run")
 	tel := cliutil.TelemetryFlags(fs)
 	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
-	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmeserve"))
-		return nil
 	}
 
 	alg, err := rme.NewAlgorithm(*algName)
 	if err != nil {
 		return err
-	}
-	var model sim.Model
-	switch strings.ToLower(*modelName) {
-	case "cc":
-		model = sim.CC
-	case "dsm":
-		model = sim.DSM
-	default:
-		return fmt.Errorf("unknown model %q (want cc or dsm)", *modelName)
 	}
 	d, err := service.ParseDist(*dist)
 	if err != nil {
@@ -120,7 +105,7 @@ func run(args []string) error {
 		Seed:      *seed,
 		Algorithm: alg,
 		Width:     word.Width(*w),
-		Model:     model,
+		Model:     *model,
 		Slots:     *slots,
 		Rate:      *rate,
 		Parallel:  *parallel,

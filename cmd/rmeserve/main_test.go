@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"rme"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -116,6 +118,7 @@ func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-alg", "nosuchlock"},
 		{"-model", "numa"},
+		{"-model", "dms"},
 		{"-dist", "pareto"},
 		{"-dist", "zipf:0.5"},
 		{"-locks", "0"},
@@ -141,5 +144,16 @@ func TestTopCellsOutput(t *testing.T) {
 	}
 	if !strings.Contains(out, "cells") {
 		t.Fatalf("no top-cells section in output:\n%s", out)
+	}
+}
+
+// TestEveryRegistryAlgorithm: every name in the shared registry resolves
+// and runs here, so the CLIs accept one and the same set of algorithms.
+func TestEveryRegistryAlgorithm(t *testing.T) {
+	for _, name := range rme.AlgorithmNames() {
+		args := []string{"-alg", name, "-w", "32", "-locks", "2", "-clients", "10", "-passages", "20"}
+		if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
+		}
 	}
 }

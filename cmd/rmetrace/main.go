@@ -24,11 +24,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"rme/internal/cliutil"
 	"rme/internal/perflog"
-	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/trace"
 )
@@ -84,7 +82,7 @@ func readRuns(path string) ([]trace.Run, error) {
 
 func runSummarize(args []string) error {
 	fs := flag.NewFlagSet("rmetrace summarize", flag.ContinueOnError)
-	modelName := fs.String("model", "cc", "rank by RMRs under this cost model: cc or dsm")
+	model := cliutil.ModelFlag(fs, "rank by RMRs under this cost model")
 	top := fs.Int("top", 10, "rows per attribution table")
 	ledger := cliutil.LedgerFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -92,10 +90,6 @@ func runSummarize(args []string) error {
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: rmetrace summarize [-model cc|dsm] [-top N] [-ledger FILE] FILE")
-	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
 	}
 	runs, err := readRuns(fs.Arg(0))
 	if err != nil {
@@ -112,7 +106,7 @@ func runSummarize(args []string) error {
 		totalCC += int64(a.RMRCC)
 		totalDSM += int64(a.RMRDSM)
 	}
-	trace.WriteSummary(os.Stdout, trace.Merge(runs), model, *top)
+	trace.WriteSummary(os.Stdout, trace.Merge(runs), *model, *top)
 
 	// The summary is a pure function of the trace file, so the aggregate
 	// attribution totals are exactly-gateable counters for that file's
@@ -121,7 +115,7 @@ func runSummarize(args []string) error {
 	m := perflog.New("rmetrace")
 	m.SetConfig("subcommand", "summarize")
 	m.SetConfig("file", filepath.Base(fs.Arg(0)))
-	m.SetConfig("model", model)
+	m.SetConfig("model", *model)
 	m.SetConfig("top", *top)
 	m.Counter("runs", int64(len(runs)))
 	m.Counter("events", totalEvents)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"rme/internal/algorithms/watree"
+	"rme"
 	"rme/internal/mutex"
 	"rme/internal/sim"
 	"rme/internal/trace"
@@ -19,7 +19,7 @@ import (
 func fixtureTrace(t *testing.T) string {
 	t.Helper()
 	s, err := mutex.NewSession(mutex.Config{
-		Procs: 2, Width: word.Width(8), Model: sim.CC, Algorithm: watree.New(),
+		Procs: 2, Width: word.Width(8), Model: sim.CC, Algorithm: rme.MustAlgorithm("watree"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +126,18 @@ func TestBadArgs(t *testing.T) {
 	}
 	if err := run([]string{"summarize", "/nonexistent/trace.jsonl"}); err == nil {
 		t.Error("missing file should fail")
+	}
+	// The flag package prints the usage on a bad value; keep it off the log.
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	old := os.Stderr
+	os.Stderr = devnull
+	defer func() { os.Stderr = old }()
+	err = run([]string{"summarize", "-model", "dms", fixtureTrace(t)})
+	if err == nil || !strings.Contains(err.Error(), `unknown model "dms" (want cc or dsm)`) {
+		t.Errorf("summarize -model dms: error %v", err)
 	}
 }

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -153,36 +154,25 @@ func manifest(rec experimentRecord, full bool, seed int64) *perflog.Manifest {
 	return m
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("rmrbench", flag.ContinueOnError)
 	full := fs.Bool("full", false, "run the enlarged parameter sweeps")
 	only := fs.String("only", "", "comma-separated experiment ids (e.g. E1,E5); default all")
 	parallel := fs.Int("parallel", 0, "engine workers per experiment grid (0 = GOMAXPROCS); tables are identical at any value")
 	jsonPath := fs.String("json", "BENCH_results.json", "machine-readable report path (empty to skip)")
 	seed := fs.Int64("seed", 0, "offset for the experiments' base seeds (0 = the published tables)")
-	tracePath := fs.String("trace", "", "write a step-level trace of every engine run to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs from the captured trace (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	tr := cliutil.TraceFlags(fs, "every engine run")
+	prof := cliutil.ProfileFlags(fs)
 	tele := cliutil.TelemetryFlags(fs)
 	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmrbench"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() { err = cmp.Or(err, stopProf()) }()
 	stopTele, err := tele.Start("bench", telemetry.View{
 		Progress:    "engine_runs",
 		UtilBusy:    "engine_busy_ns",
@@ -193,7 +183,7 @@ func run(args []string) error {
 	}
 	defer stopTele()
 	var capture *trace.Capture
-	if *tracePath != "" || *top > 0 {
+	if tr.Enabled() {
 		capture = &trace.Capture{}
 	}
 
@@ -237,15 +227,10 @@ func run(args []string) error {
 	report.TotalWallMS = float64(time.Since(benchStart).Microseconds()) / 1000
 
 	if capture != nil {
-		runs := capture.Runs()
 		// The summary is as deterministic as the tables, so it shares stdout.
-		cliutil.SummarizeTrace(os.Stdout, runs, sim.CC, *top)
-		if err := cliutil.ExportTrace(*tracePath, *traceFormat, runs); err != nil {
+		if err := tr.Write(os.Stdout, capture.Runs(), sim.CC); err != nil {
 			return err
 		}
-	}
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
 	}
 
 	if *jsonPath != "" {

@@ -56,13 +56,3 @@ func (l *Ledger) Emit(reg *telemetry.Registry, ms ...*perflog.Manifest) error {
 	fmt.Fprintf(os.Stderr, "ledger: appended %d manifest(s) to %s\n", len(ms), l.Path)
 	return nil
 }
-
-// VersionFlag registers the shared -version flag on fs.
-func VersionFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("version", false, "print build provenance (go version, git revision, dirty bit) and exit")
-}
-
-// VersionString renders the standard -version banner for a tool.
-func VersionString(tool string) string {
-	return tool + " " + perflog.Build().Short()
-}

@@ -1,19 +1,50 @@
-// Package cliutil holds small helpers shared by the cmd/ mains: pprof
-// profiling flags and trace-export plumbing. Everything here writes its
-// diagnostics to stderr — stdout belongs to the tools' reports, which must
-// stay byte-identical across -parallel settings.
+// Package cliutil holds the flag bundles shared by the cmd/ mains: the
+// -version parse step, -model, pprof profiling, trace export, telemetry and
+// the perf ledger. Each concern registers its flags in one place, so every
+// tool spells, defaults and validates them the same way. Everything here
+// writes its diagnostics to stderr — stdout belongs to the tools' reports,
+// which must stay byte-identical across -parallel settings.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-
-	"rme/internal/sim"
-	"rme/internal/trace"
 )
+
+// Profile bundles the pprof flags (-cpuprofile, -memprofile).
+type Profile struct {
+	// CPU is the CPU profile path ("" = off).
+	CPU string
+	// Mem is the heap profile path, written when the run stops ("" = off).
+	Mem string
+}
+
+// ProfileFlags registers the profiling flags on fs and returns the holder to
+// Start after flag parsing.
+func ProfileFlags(fs *flag.FlagSet) *Profile {
+	p := &Profile{}
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a pprof heap profile to this file")
+	return p
+}
+
+// Start begins the CPU profile and returns a stop function for defer (never
+// nil). Stop ends the CPU profile and writes the heap profile, returning the
+// heap write's error; it runs on every exit path, so a run that failed is
+// still profiled.
+func (p *Profile) Start() (stop func() error, err error) {
+	stopCPU, err := StartCPUProfile(p.CPU)
+	if err != nil {
+		return func() error { return nil }, err
+	}
+	return func() error {
+		stopCPU()
+		return writeHeapProfile(p.Mem)
+	}, nil
+}
 
 // StartCPUProfile begins a CPU profile to the given path (empty = off) and
 // returns a stop function for defer. The stop function is never nil.
@@ -37,9 +68,9 @@ func StartCPUProfile(path string) (stop func(), err error) {
 	}, nil
 }
 
-// WriteHeapProfile writes a heap profile to the given path (empty = no-op)
+// writeHeapProfile writes a heap profile to the given path (empty = no-op)
 // after a final GC, so the profile reflects live allocations.
-func WriteHeapProfile(path string) error {
+func writeHeapProfile(path string) error {
 	if path == "" {
 		return nil
 	}
@@ -53,34 +84,4 @@ func WriteHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ExportTrace writes captured runs to path in the given format (flag
-// spelling) and notes the export on stderr. No-op when path is empty.
-func ExportTrace(path, format string, runs []trace.Run) error {
-	if path == "" {
-		return nil
-	}
-	f, err := trace.ParseFormat(format)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteFile(path, f, runs); err != nil {
-		return err
-	}
-	events := 0
-	for _, r := range runs {
-		events += len(r.Events)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%s, %d runs, %d events)\n", path, f, len(runs), events)
-	return nil
-}
-
-// SummarizeTrace prints the hottest-cells / costliest-procs attribution of
-// the captured runs to w when top > 0.
-func SummarizeTrace(w io.Writer, runs []trace.Run, model sim.Model, top int) {
-	if top <= 0 {
-		return
-	}
-	trace.WriteSummary(w, trace.Merge(runs), model, top)
 }

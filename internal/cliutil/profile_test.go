@@ -3,11 +3,7 @@ package cliutil
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"rme/internal/sim"
-	"rme/internal/trace"
 )
 
 func TestStartCPUProfileDisabled(t *testing.T) {
@@ -56,11 +52,11 @@ func TestStartCPUProfileBadPath(t *testing.T) {
 }
 
 func TestWriteHeapProfile(t *testing.T) {
-	if err := WriteHeapProfile(""); err != nil {
+	if err := writeHeapProfile(""); err != nil {
 		t.Fatalf("empty path must be a no-op, got %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "mem.pprof")
-	if err := WriteHeapProfile(path); err != nil {
+	if err := writeHeapProfile(path); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -70,40 +66,20 @@ func TestWriteHeapProfile(t *testing.T) {
 	if fi.Size() == 0 {
 		t.Fatal("heap profile is empty")
 	}
-	if err := WriteHeapProfile(filepath.Join(t.TempDir(), "no", "such", "dir", "mem.pprof")); err == nil {
+	if err := writeHeapProfile(filepath.Join(t.TempDir(), "no", "such", "dir", "mem.pprof")); err == nil {
 		t.Fatal("want error for unwritable path")
 	}
 }
 
-func TestExportTrace(t *testing.T) {
-	runs := []trace.Run{{Label: "unit", Procs: 1, Model: sim.CC}}
-	if err := ExportTrace("", "jsonl", runs); err != nil {
-		t.Fatalf("empty path must be a no-op, got %v", err)
-	}
-	if err := ExportTrace(filepath.Join(t.TempDir(), "t.jsonl"), "bogus", runs); err == nil {
-		t.Fatal("want error for unknown format")
-	}
-	path := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := ExportTrace(path, "jsonl", runs); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
+// TestProfileStopError: a heap profile that cannot be written surfaces as
+// the stop function's error, so the run that deferred it fails.
+func TestProfileStopError(t *testing.T) {
+	bad := &Profile{Mem: filepath.Join(t.TempDir(), "no", "such", "dir", "mem.pprof")}
+	stop, err := bad.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), "unit") {
-		t.Fatalf("exported trace missing run label:\n%s", blob)
-	}
-}
-
-func TestSummarizeTraceTopZero(t *testing.T) {
-	var sb strings.Builder
-	SummarizeTrace(&sb, []trace.Run{{Label: "unit", Procs: 1, Model: sim.CC}}, sim.CC, 0)
-	if sb.Len() != 0 {
-		t.Fatalf("top=0 must print nothing, got %q", sb.String())
-	}
-	SummarizeTrace(&sb, []trace.Run{{Label: "unit", Procs: 1, Model: sim.CC}}, sim.CC, 3)
-	if sb.Len() == 0 {
-		t.Fatal("top=3 must print the attribution tables")
+	if err := stop(); err == nil {
+		t.Fatal("want stop error for unwritable -memprofile path")
 	}
 }

@@ -32,6 +32,7 @@ package rme
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"rme/internal/adversary"
 	"rme/internal/algorithms/clh"
@@ -223,47 +224,51 @@ func TheoreticalLowerBound(w Width, n int) float64 { return word.TheoreticalLowe
 //	watree-fast the w-ary tree with the adaptive O(1) fast path (O(min(k, log_w n)))
 //	qword       recoverable FIFO queue-in-a-word via custom atomic ops (w ≥ n·log n)
 func Algorithms() []Algorithm {
-	algs := []Algorithm{
-		tas.New(), ticket.New(), mcs.New(), clh.New(), tournament.New(),
-		yatree.New(), grlock.New(), rspin.New(), watree.New(),
-		watree.New(watree.WithFanout(2)), watree.New(watree.WithFastPath()),
-		qword.New(),
+	algs := make([]Algorithm, 0, len(registry))
+	for _, alg := range registry {
+		algs = append(algs, alg)
 	}
 	sort.Slice(algs, func(i, j int) bool { return algs[i].Name() < algs[j].Name() })
 	return algs
 }
 
-// NewAlgorithm returns a registry algorithm by name (see Algorithms), with
-// "watree2" naming the fan-out-2 tree.
+// registry is the one name → algorithm table behind Algorithms,
+// AlgorithmNames, NewAlgorithm and every CLI's -alg flag. Algorithms are
+// immutable configuration values, so one shared instance per name serves
+// every caller and a lookup allocates nothing.
+var registry = map[string]Algorithm{
+	"tas":         tas.New(),
+	"ticket":      ticket.New(),
+	"mcs":         mcs.New(),
+	"clh":         clh.New(),
+	"tournament":  tournament.New(),
+	"yatree":      yatree.New(),
+	"grlock":      grlock.New(),
+	"rspin":       rspin.New(),
+	"watree":      watree.New(),
+	"watree2":     watree.New(watree.WithFanout(2)),
+	"watree-fast": watree.New(watree.WithFastPath()),
+	"qword":       qword.New(),
+}
+
+// AlgorithmNames returns the names NewAlgorithm accepts, sorted.
+func AlgorithmNames() []string {
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// NewAlgorithm returns a registry algorithm by name (see AlgorithmNames);
+// names are case-insensitive.
 func NewAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "tas":
-		return tas.New(), nil
-	case "ticket":
-		return ticket.New(), nil
-	case "mcs":
-		return mcs.New(), nil
-	case "clh":
-		return clh.New(), nil
-	case "tournament":
-		return tournament.New(), nil
-	case "yatree":
-		return yatree.New(), nil
-	case "grlock":
-		return grlock.New(), nil
-	case "rspin":
-		return rspin.New(), nil
-	case "watree":
-		return watree.New(), nil
-	case "watree2":
-		return watree.New(watree.WithFanout(2)), nil
-	case "watree-fast":
-		return watree.New(watree.WithFastPath()), nil
-	case "qword":
-		return qword.New(), nil
-	default:
+	alg, ok := registry[strings.ToLower(name)]
+	if !ok {
 		return nil, fmt.Errorf("rme: unknown algorithm %q", name)
 	}
+	return alg, nil
 }
 
 // MustAlgorithm is NewAlgorithm that panics on unknown names; for use in

@@ -1,7 +1,13 @@
 // Command rmecheck model-checks a mutual exclusion algorithm: bounded
 // exhaustive interleaving search (optionally branching over crash steps) and
-// randomized stress, reporting mutual exclusion or progress failures with
-// the schedules that produced them.
+// a randomized stress phase, reporting mutual exclusion or progress failures
+// with the schedules that produced them.
+//
+// The stress phase (-stress N) is a faults campaign whose only source is the
+// seeded-random axis: N random schedules, each with up to crashes×n crashes
+// in total (none for non-recoverable algorithms), judged by the
+// mutual-exclusion, deadlock-freedom and CS re-entry oracles. Its failures
+// print as shrunk (seed, schedule) reproducers.
 //
 // Usage:
 //
@@ -58,6 +64,7 @@ import (
 	"rme"
 	"rme/internal/check"
 	"rme/internal/cliutil"
+	"rme/internal/faults"
 	"rme/internal/mutex"
 	"rme/internal/perflog"
 	"rme/internal/telemetry"
@@ -129,11 +136,11 @@ func run(args []string) (err error) {
 	n := fs.Int("n", 2, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
 	model := cliutil.ModelFlag(fs, "cost model")
-	crashes := fs.Int("crashes", 1, "crash steps per process to branch over (recoverable algorithms)")
+	crashes := fs.Int("crashes", 1, "crash steps per process to branch over (recoverable algorithms); -stress runs get up to crashes×n crashes each")
 	maxSched := fs.Int("max", 50_000, "exhaustive schedule cap")
-	stressN := fs.Int("stress", 200, "randomized stress seeds (0 to skip)")
+	stressN := fs.Int("stress", 200, "seeded-random crash-campaign runs (0 to skip)")
 	parallel := fs.Int("parallel", 0, "search/stress workers (0 = GOMAXPROCS); results are identical at any value")
-	seed := fs.Int64("seed", 0, "offset for the stress schedule seeds (0 = the default sample)")
+	seed := fs.Int64("seed", 0, "base seed of the -stress campaign; also salts the search's state fingerprints (0 = the default sample)")
 	memo := fs.Bool("memo", true, "memoize visited canonical states (fingerprint pruning)")
 	por := fs.Bool("por", true, "sleep-set partial-order reduction over step footprints")
 	symmetry := fs.Bool("symmetry", false, "canonicalize state keys over the algorithm's declared process symmetry group")
@@ -267,7 +274,7 @@ func run(args []string) (err error) {
 	var stressRes *check.Result
 	if *stressN > 0 {
 		fmt.Printf("stress: %d random schedules with crash injection\n", *stressN)
-		sres, err := check.Stress(cfg, *stressN, 0.05)
+		sres, err := stress(cfg, *stressN, *crashes)
 		if err != nil {
 			return err
 		}
@@ -340,7 +347,7 @@ func telemetryView(memo, sharedSet bool) telemetry.View {
 
 // runJSON runs the same phases as the text path but emits one JSON document,
 // returning both phases' results for the perf ledger.
-func runJSON(cfg check.Config, algName string, crashes, stress int, sharedSet bool, wave int) (*check.Result, *check.Result, error) {
+func runJSON(cfg check.Config, algName string, crashes, stressN int, sharedSet bool, wave int) (*check.Result, *check.Result, error) {
 	res, err := check.Exhaustive(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -356,8 +363,8 @@ func runJSON(cfg check.Config, algName string, crashes, stress int, sharedSet bo
 	}
 	firstErr := res.Err()
 	var stressRes *check.Result
-	if stress > 0 {
-		sres, err := check.Stress(cfg, stress, 0.05)
+	if stressN > 0 {
+		sres, err := stress(cfg, stressN, crashes)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -375,6 +382,40 @@ func runJSON(cfg check.Config, algName string, crashes, stress int, sharedSet bo
 		return nil, nil, err
 	}
 	return res, stressRes, firstErr
+}
+
+// stress runs the -stress phase as a faults campaign whose only source is
+// the seeded-random axis, and folds its report into the check.Result shape
+// the text, JSON and ledger outputs share with the exhaustive phase:
+// Complete counts the clean runs, and each reported failure — shrunk to a
+// replayable reproducer — is a deadlock or a violation.
+func stress(cfg check.Config, runs, crashes int) (*check.Result, error) {
+	maxCrashes := 0
+	if cfg.Session.Algorithm.Recoverable() {
+		maxCrashes = crashes * cfg.Session.Procs
+	}
+	rep, err := faults.Campaign{
+		Session:   cfg.Session,
+		Sources:   []faults.Source{faults.RandomCrashes{Runs: runs, MaxCrashes: maxCrashes, Seed: cfg.Seed}},
+		Oracles:   []faults.Oracle{faults.MutualExclusion{}, faults.DeadlockFree{}, faults.Reentry{}},
+		Parallel:  cfg.Parallel,
+		Telemetry: cfg.Telemetry,
+	}.Run()
+	if err != nil {
+		return nil, err
+	}
+	res := &check.Result{Complete: rep.Runs}
+	for _, st := range rep.Sources {
+		res.Complete -= st.Failures
+	}
+	for _, f := range rep.Failures {
+		if f.Oracle == (faults.DeadlockFree{}).Name() {
+			res.Deadlocks = append(res.Deadlocks, f.String())
+		} else {
+			res.Violations = append(res.Violations, f.String())
+		}
+	}
+	return res, nil
 }
 
 // traceReference runs the checked configuration crash-free round-robin on a

@@ -9,6 +9,10 @@ import (
 	"testing"
 
 	"rme"
+	"rme/internal/check"
+	"rme/internal/faults"
+	"rme/internal/mutex"
+	"rme/internal/sim"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -228,5 +232,26 @@ func TestEveryRegistryAlgorithm(t *testing.T) {
 		if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
 			t.Errorf("-alg %s: %v", name, err)
 		}
+	}
+}
+
+// TestStressReportsShrunkReproducers: the stress phase flags the
+// crash-unsafe fixture, counts only its clean runs as complete, and reports
+// each failure as a replayable (seed, schedule) reproducer.
+func TestStressReportsShrunkReproducers(t *testing.T) {
+	cfg := check.Config{Session: mutex.Config{Procs: 2, Width: 8, Model: sim.CC, Algorithm: faults.NewBroken()}}
+	res, err := stress(cfg, 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ok() {
+		t.Fatal("stress missed the crash-unsafe TAS")
+	}
+	failed := len(res.Violations) + len(res.Deadlocks)
+	if res.Complete+failed > 500 || res.Complete == 500 {
+		t.Fatalf("complete = %d with %d reported failures of 500 runs", res.Complete, failed)
+	}
+	if msg := append(res.Violations, res.Deadlocks...)[0]; !strings.Contains(msg, "reproducer: (seed ") {
+		t.Fatalf("failure lacks a reproducer: %q", msg)
 	}
 }

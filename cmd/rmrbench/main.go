@@ -168,6 +168,22 @@ func run(args []string) (err error) {
 	if done, err := cliutil.Parse(fs, args); done || err != nil {
 		return err
 	}
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if _, ok := harness.Find(id); !ok {
+				var ids []string
+				for _, exp := range harness.All() {
+					ids = append(ids, exp.ID)
+				}
+				return fmt.Errorf("-only: unknown experiment %q (valid: %s)", id, strings.Join(ids, ", "))
+			}
+			want[id] = true
+		}
+	}
+
 	stopProf, err := prof.Start()
 	if err != nil {
 		return err
@@ -185,13 +201,6 @@ func run(args []string) (err error) {
 	var capture *trace.Capture
 	if tr.Enabled() {
 		capture = &trace.Capture{}
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
 	}
 
 	report := benchReport{Full: *full, Parallel: engine.Parallelism(*parallel), Seed: *seed, Provenance: perflog.Build()}

@@ -274,3 +274,24 @@ func TestSeedChangesRandomizedTables(t *testing.T) {
 		t.Fatal("-seed 12345 produced the same E11 tables as -seed 0")
 	}
 }
+
+// TestBadFlags: a bad flag fails the run before any experiment renders, so
+// a typo in a CI or ledger command cannot silently gate nothing.
+func TestBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-only", "E99", "-json", ""}, `unknown experiment "E99" (valid: E1, E2,`},
+		{[]string{"-only", "E6,e99", "-json", ""}, `unknown experiment "E99"`},
+		{[]string{"-only", "E6", "-json", "", "-traceformat", "bogus"}, `unknown format "bogus"`},
+	} {
+		out, err := captureStdout(t, func() error { return run(c.args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error %v, want %q", c.args, err, c.want)
+		}
+		if out != "" {
+			t.Errorf("run(%v) wrote stdout before failing:\n%s", c.args, out)
+		}
+	}
+}

@@ -56,21 +56,3 @@ func ExampleNewAdversary() {
 	// forced at least depth: true
 	// clean audit: true
 }
-
-// ExampleStress model-checks a recoverable lock under randomized schedules
-// with crash injection.
-func ExampleStress() {
-	res, err := rme.Stress(rme.CheckConfig{
-		Session: rme.Config{
-			Procs: 3, Width: 8, Model: rme.DSM,
-			Algorithm: rme.MustAlgorithm("rspin"),
-		},
-		CrashesPerProc: 2,
-	}, 30, 0.05)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("schedules completed:", res.Complete, "safe:", res.Ok())
-	// Output: schedules completed: 30 safe: true
-}

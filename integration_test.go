@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rme"
+	"rme/internal/faults"
 )
 
 // TestTradeoffEndToEnd is the repository's headline assertion as one test:
@@ -82,8 +83,10 @@ func TestTradeoffEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAllRecoverableAlgorithmsSurviveCrashStorm drives every recoverable
-// registry algorithm through a randomized crash storm via the public API.
+// TestAllRecoverableAlgorithmsSurviveCrashStorm runs every recoverable
+// registry algorithm through a seeded-random crash campaign: random
+// schedules with up to 2·n crashes per run, each failure shrunk to a
+// replayable reproducer.
 func TestAllRecoverableAlgorithmsSurviveCrashStorm(t *testing.T) {
 	for _, alg := range rme.Algorithms() {
 		if !alg.Recoverable() {
@@ -96,18 +99,16 @@ func TestAllRecoverableAlgorithmsSurviveCrashStorm(t *testing.T) {
 			if alg.Name() == "qword" {
 				w = 64
 			}
-			for seed := int64(0); seed < 10; seed++ {
-				s, err := rme.NewSession(rme.Config{
-					Procs: n, Width: w, Model: rme.CC, Algorithm: alg, Passes: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				err = s.RunRandom(seed, rme.RandomRunOptions{CrashProb: 0.05, MaxCrashesPerProc: 2})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				s.Close()
+			rep, err := faults.Campaign{
+				Session: rme.Config{Procs: n, Width: w, Model: rme.CC, Algorithm: alg, Passes: 2},
+				Sources: []faults.Source{faults.RandomCrashes{Runs: 10, MaxCrashes: 2 * n}},
+				Oracles: []faults.Oracle{faults.MutualExclusion{}, faults.DeadlockFree{}, faults.Reentry{}},
+			}.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range rep.Failures {
+				t.Errorf("%s", f)
 			}
 		})
 	}

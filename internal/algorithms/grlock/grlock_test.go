@@ -66,7 +66,7 @@ func TestTicketOverflowPanicsClearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = s.RunRandom(seed, mutex.RandomRunOptions{})
+		err = s.RunRandom(seed)
 		if err != nil && !isOverflow(err) {
 			t.Fatalf("seed %d: unexpected failure: %v", seed, err)
 		}

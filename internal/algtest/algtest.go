@@ -1,9 +1,10 @@
 // Package algtest is a reusable conformance suite for mutual exclusion
 // algorithms: mutual exclusion, progress, and — for recoverable algorithms —
 // systematic crash injection at every step of a base schedule, double
-// crashes, and randomized crash storms. The crash patterns are expressed as
-// fault-injection campaign presets over internal/faults, so every failure a
-// conformance run reports comes with a delta-debugged minimal reproducer.
+// crashes, and randomized crash storms. The random schedules and every crash
+// pattern are fault-injection campaign presets over internal/faults, so every
+// failure a conformance run reports comes with a delta-debugged minimal
+// reproducer.
 // The model checker in internal/check explores interleavings more
 // aggressively on top.
 package algtest
@@ -24,7 +25,7 @@ type Options struct {
 	Width word.Width
 	// MaxProcs caps the process counts exercised (default 8).
 	MaxProcs int
-	// Seeds is the number of random-schedule seeds (default 30).
+	// Seeds is the number of runs of each random campaign axis (default 30).
 	Seeds int
 	// SkipDSM skips DSM-model runs (for CC-only algorithms whose waiting is
 	// not DSM-local; their correctness is model-independent, so this only
@@ -60,7 +61,7 @@ func Run(t *testing.T, alg mutex.Algorithm, opts Options) {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Run("RoundRobin", func(t *testing.T) { testRoundRobin(t, alg, opts, model) })
-			t.Run("RandomSchedules", func(t *testing.T) { testRandom(t, alg, opts, model) })
+			t.Run("RandomSchedules", func(t *testing.T) { runRandomAxis(t, alg, opts, model, 0) })
 			if alg.Recoverable() {
 				t.Run("CrashEverywhere", func(t *testing.T) {
 					runCampaign(t, alg, opts, model, 3, 1, faults.ExhaustiveCrashes{Crashes: 1})
@@ -71,7 +72,7 @@ func Run(t *testing.T, alg mutex.Algorithm, opts Options) {
 				t.Run("DoubleCrash", func(t *testing.T) {
 					runCampaign(t, alg, opts, model, 2, 1, faults.ExhaustiveCrashes{Crashes: 2})
 				})
-				t.Run("CrashStorm", func(t *testing.T) { testCrashStorm(t, alg, opts, model) })
+				t.Run("CrashStorm", func(t *testing.T) { runRandomAxis(t, alg, opts, model, 3) })
 				t.Run("SystemWideCrash", func(t *testing.T) {
 					runCampaign(t, alg, opts, model, 3, 1, faults.SystemWideCrashes{})
 				})
@@ -150,42 +151,15 @@ func testRoundRobin(t *testing.T, alg mutex.Algorithm, opts Options, model sim.M
 	}
 }
 
-func testRandom(t *testing.T, alg mutex.Algorithm, opts Options, model sim.Model) {
+// runRandomAxis runs the seeded-random campaign axis at every process
+// count: opts.Seeds random schedules of two super-passages each, with up to
+// crashesPerProc×n crashes per run (0 keeps the schedules crash-free).
+func runRandomAxis(t *testing.T, alg mutex.Algorithm, opts Options, model sim.Model, crashesPerProc int) {
 	for _, n := range procCounts(opts.MaxProcs) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			for seed := 0; seed < opts.Seeds; seed++ {
-				s := newSession(t, alg, opts, model, n, 2)
-				if err := s.RunRandom(int64(seed), mutex.RandomRunOptions{}); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				assertCompleted(t, s, n, 2)
-				s.Close()
-			}
-		})
-	}
-}
-
-// testCrashStorm keeps the historical storm semantics — random schedules with
-// probabilistic crash injection along the way — which the plan-based campaign
-// sources deliberately do not model (plans fix crash decision indices up
-// front; the storm crashes wherever the coin lands).
-func testCrashStorm(t *testing.T, alg mutex.Algorithm, opts Options, model sim.Model) {
-	for _, n := range procCounts(opts.MaxProcs) {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			for seed := 0; seed < opts.Seeds; seed++ {
-				s := newSession(t, alg, opts, model, n, 2)
-				err := s.RunRandom(int64(seed), mutex.RandomRunOptions{
-					CrashProb:         0.05,
-					MaxCrashesPerProc: 3,
-				})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				assertCompleted(t, s, n, 2)
-				s.Close()
-			}
+			runCampaign(t, alg, opts, model, n, 2,
+				faults.RandomCrashes{Runs: opts.Seeds, MaxCrashes: crashesPerProc * n})
 		})
 	}
 }

@@ -1,6 +1,7 @@
 // Package check verifies mutual exclusion algorithms by stateful
-// bounded-exhaustive interleaving exploration and randomized stress, on top
-// of the per-step safety monitors of package mutex.
+// bounded-exhaustive interleaving exploration, on top of the per-step safety
+// monitors of package mutex. Randomized schedules and crash storms are the
+// faults package's RandomCrashes campaign axis.
 //
 // The exhaustive explorer enumerates scheduler decisions (which poised
 // process steps next; optionally, whether it crashes instead) by depth-first
@@ -39,14 +40,12 @@ type Config struct {
 	// CrashesPerProc > 0 additionally branches on crash steps (recoverable
 	// algorithms only), up to the given number of crashes per process.
 	CrashesPerProc int
-	// Parallel is the worker count for Stress and for the exhaustive
-	// explorer's root-branch fan-out (<= 0 means GOMAXPROCS). Both merge
-	// results in submission order, so output is identical at any value.
+	// Parallel is the worker count for the exhaustive explorer's
+	// root-branch fan-out (<= 0 means GOMAXPROCS). Results merge in
+	// submission order, so output is identical at any value.
 	Parallel int
-	// Seed offsets the seeds Stress derives its random schedules from, so
-	// repeated runs can cover disjoint deterministic samples. The exhaustive
-	// explorer folds it into its fingerprint seed but enumerates the same
-	// schedule tree regardless.
+	// Seed salts the explorer's state fingerprints; the explorer enumerates
+	// the same schedule tree regardless.
 	Seed int64
 
 	// Memo enables visited-state memoization: canonical states are
@@ -401,51 +400,3 @@ func Exhaustive(cfg Config) (*Result, error) {
 const maxBudgetRounds = 8
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Stress runs many randomized schedules (with optional crash injection) and
-// aggregates failures. Seeds are distributed over cfg.Parallel engine
-// workers; each seed's run is a pure function of its seed, so the aggregate
-// is identical at any parallelism level. Failures carry the full executed
-// schedule, so every stress counterexample is replayable.
-func Stress(cfg Config, seeds int, crashProb float64) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Session.Validate(); err != nil {
-		return nil, err
-	}
-	// Failure schedules are read inside Drive (before the session is
-	// recycled) and reported by seed index afterwards.
-	scheds := make([]sim.Schedule, seeds)
-	specs := make([]engine.RunSpec, seeds)
-	for seed := 0; seed < seeds; seed++ {
-		seed := seed
-		specs[seed] = engine.RunSpec{
-			Session: cfg.Session,
-			Drive: func(s *mutex.Session) error {
-				err := s.RunRandom(cfg.Seed+int64(seed), mutex.RandomRunOptions{
-					CrashProb:         crashProb,
-					MaxCrashesPerProc: cfg.CrashesPerProc,
-				})
-				if err != nil {
-					scheds[seed] = s.Machine().Schedule()
-				}
-				return err
-			},
-		}
-	}
-	cfg.Telemetry.Gauge("check_seeds").Set(int64(seeds))
-	res := &Result{}
-	for seed, r := range engine.Run(specs, engine.Options{Parallel: cfg.Parallel, Telemetry: cfg.Telemetry}) {
-		switch {
-		case r.Err == nil:
-			res.Complete++
-		case errors.Is(r.Err, mutex.ErrStuck):
-			res.Deadlocks = append(res.Deadlocks, fmt.Sprintf("seed %d: %s", seed, scheds[seed]))
-			res.DeadlockSchedules = append(res.DeadlockSchedules, scheds[seed])
-		default:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("seed %d: %v [schedule %s]", seed, r.Err, scheds[seed]))
-			res.ViolationSchedules = append(res.ViolationSchedules, scheds[seed])
-		}
-	}
-	return res, nil
-}

@@ -167,34 +167,6 @@ func TestExhaustiveFindsDeadlock(t *testing.T) {
 	}
 }
 
-func TestStress(t *testing.T) {
-	res, err := check.Stress(check.Config{
-		Session:        mutex.Config{Procs: 4, Width: 8, Model: sim.CC, Algorithm: rspin.New(), Passes: 2},
-		CrashesPerProc: 2,
-	}, 50, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete != 50 {
-		t.Errorf("complete = %d, want 50", res.Complete)
-	}
-}
-
-func TestStressCatchesBrokenLock(t *testing.T) {
-	res, err := check.Stress(check.Config{
-		Session: mutex.Config{Procs: 3, Width: 8, Model: sim.CC, Algorithm: brokenLock{}},
-	}, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ok() {
-		t.Fatal("stress failed to catch the broken lock")
-	}
-}
-
 func TestTruncationReported(t *testing.T) {
 	res, err := check.Exhaustive(check.Config{
 		Session:      mutex.Config{Procs: 3, Width: 8, Model: sim.CC, Algorithm: ticket.New()},

@@ -166,7 +166,7 @@ func TestRunDriveAndCollect(t *testing.T) {
 		specs = append(specs, RunSpec{
 			Session: mutex.Config{Procs: 3, Width: 16, Model: sim.CC, Algorithm: mcs.New()},
 			Drive: func(s *mutex.Session) error {
-				return s.RunRandom(int64(seed), mutex.RandomRunOptions{})
+				return s.RunRandom(int64(seed))
 			},
 			Collect: func(s *mutex.Session) (interface{}, error) {
 				return s.CSOrder(), nil

@@ -217,9 +217,10 @@ func (c Campaign) Run() (*Report, error) {
 	}
 
 	// Execute on the engine pool, snapshotting outcomes inside Drive (the
-	// session is recycled immediately after). The live counters tick inside
-	// Drive so a heartbeat shows run/failure progress; report evaluation
-	// below stays purely schedule-order deterministic.
+	// session is recycled immediately after) and keeping only the failing
+	// ones. The live counters tick inside Drive so a heartbeat shows
+	// run/failure progress; report evaluation below stays purely
+	// schedule-order deterministic.
 	c.Telemetry.Gauge("faults_plans").Set(int64(len(jobs)))
 	runsLive := c.Telemetry.Counter("faults_runs")
 	failuresLive := c.Telemetry.Counter("faults_failures")
@@ -234,7 +235,6 @@ func (c Campaign) Run() (*Report, error) {
 			Drive: func(s *mutex.Session) error {
 				err := jobs[i].plan.drive(s, rep.Bound, nil)
 				o := snapshot(s, err)
-				outcomes[i] = o
 				for _, orc := range oracles {
 					if detail := orc.Check(o); detail != "" {
 						failed[i] = detail
@@ -249,6 +249,7 @@ func (c Campaign) Run() (*Report, error) {
 				}
 				runsLive.Inc()
 				if failed[i] != "" {
+					outcomes[i] = o
 					failuresLive.Inc()
 				}
 				return nil

@@ -18,8 +18,8 @@ import (
 // are admitted when serving+1 reaches their ticket instead of serving
 // itself, so the process holding ticket t+1 enters while ticket t still owns
 // the critical section. The violation needs no crashes and two processes, so
-// both the exhaustive explorer and randomized stress must report it with a
-// replayable schedule.
+// both the exhaustive explorer and a random-axis campaign must report it with
+// a replayable schedule.
 type BrokenTicket struct{}
 
 var _ mutex.Algorithm = BrokenTicket{}
@@ -75,8 +75,8 @@ func (h *brokenTicketHandle) Unlock() {
 // the winner never writes: the loser of the CAS race spins for the lock word
 // to become 2, but Unlock writes 0. Solo runs complete (the CAS wins
 // immediately), so the wedge only appears under contention — exactly the
-// kind of progress bug the exhaustive deadlock check and the stress runner's
-// stuck detection must both surface.
+// kind of progress bug the exhaustive deadlock check and the campaign's
+// deadlock-freedom oracle must both surface.
 type WedgingTAS struct{}
 
 var _ mutex.Algorithm = WedgingTAS{}

@@ -110,11 +110,12 @@ func (pl Plan) drive(s *mutex.Session, bound int, observe func(decision int, ev 
 	}
 	m := s.Machine()
 	decision := 0
+	var poised []int // reused across decisions: one allocation per run
 	for !m.AllDone() {
 		if decision >= bound {
 			return ErrStepBound
 		}
-		poised := m.PoisedProcs()
+		poised = m.AppendPoised(poised)
 		if len(poised) == 0 {
 			return mutex.ErrStuck
 		}

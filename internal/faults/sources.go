@@ -161,19 +161,21 @@ func (s SystemWideCrashes) Plans(pr Probe) []Plan {
 
 // RandomCrashes is the seeded-random campaign axis for configurations too
 // large to enumerate: each run drives a seeded-random schedule and injects
-// up to MaxCrashes crashes on random live victims at random decisions. Every
-// run is a pure function of its derived seed, so campaign results are
-// parallelism-independent and any failure replays from the printed plan.
+// up to MaxCrashes crashes on random live victims at random decisions within
+// the probe's length (a random schedule runs about as long as the
+// round-robin probe, so later indices would mostly land after the run has
+// ended and never fire). The plans are a pure function of Seed, so campaign
+// results are parallelism-independent and any failure replays from the
+// printed plan.
 type RandomCrashes struct {
 	// Runs is the number of random runs (default 32).
 	Runs int
-	// MaxCrashes caps crashes per run (default 3; 0 keeps schedules random
-	// but crash-free, the right setting for non-recoverable algorithms).
+	// MaxCrashes caps crashes per run (0 keeps schedules random but
+	// crash-free, the right setting for non-recoverable algorithms).
 	MaxCrashes int
-	// Seed is the campaign base seed; run i derives its plan from Seed and i.
+	// Seed is the campaign base seed; run i's schedule seed derives from
+	// Seed and i.
 	Seed int64
-	// Horizon bounds crash decision indices (default 4x the base execution).
-	Horizon int
 }
 
 // Name identifies the source.
@@ -186,14 +188,14 @@ func (r RandomCrashes) Plans(pr Probe) []Plan {
 		runs = 32
 	}
 	maxCrashes := r.MaxCrashes
-	horizon := r.Horizon
-	if horizon <= 0 {
-		horizon = 4*pr.Steps + 64
-	}
+	horizon := max(pr.Steps, 1)
+	// One crash-placement stream for the whole axis: seeding a math/rand
+	// source costs as much as a short run, and every run already seeds one
+	// for its schedule.
+	rng := rand.New(rand.NewSource(r.Seed))
 	plans := make([]Plan, 0, runs)
 	for i := 0; i < runs; i++ {
 		seed := deriveSeed(r.Seed, i)
-		rng := rand.New(rand.NewSource(seed))
 		var crashes []Crash
 		if maxCrashes > 0 {
 			for k := rng.Intn(maxCrashes + 1); k > 0; k-- {

@@ -78,7 +78,7 @@ func runE11(opts Options) ([]Table, error) {
 					Passes: 1,
 				},
 				Drive: func(s *mutex.Session) error {
-					return s.RunRandom(int64(seed)+opts.Seed, mutex.RandomRunOptions{})
+					return s.RunRandom(int64(seed) + opts.Seed)
 				},
 				Collect: func(s *mutex.Session) (interface{}, error) {
 					return inversionFraction(s, an)

@@ -318,45 +318,16 @@ func (s *Session) RunRoundRobin() error {
 	return s.violationErr()
 }
 
-// RandomRunOptions tunes RunRandom.
-type RandomRunOptions struct {
-	// CrashProb is the per-step probability of delivering a crash instead of
-	// the chosen step (only for recoverable algorithms).
-	CrashProb float64
-	// MaxCrashesPerProc caps crashes per process; 0 means no crashes, and a
-	// negative value means unlimited.
-	MaxCrashesPerProc int
-}
-
 // RunRandom drives the session with a uniformly random poised process each
-// step, optionally injecting crashes, until all processes finish.
-func (s *Session) RunRandom(seed int64, opts RandomRunOptions) error {
+// step until all processes finish. It never crashes a process: randomized
+// crash injection is the faults package's RandomCrashes campaign axis.
+func (s *Session) RunRandom(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	for !s.mach.AllDone() {
 		poised := s.mach.AppendPoised(s.poised)
 		s.poised = poised
 		if len(poised) == 0 {
 			return ErrStuck
-		}
-		// Crashes may hit any live process — including ones parked on a
-		// spin, which is an important recovery window.
-		if s.cfg.Algorithm.Recoverable() && opts.CrashProb > 0 && rng.Float64() < opts.CrashProb {
-			var victims []int
-			for p := 0; p < s.cfg.Procs; p++ {
-				if s.mach.ProcDone(p) {
-					continue
-				}
-				if opts.MaxCrashesPerProc >= 0 && s.mach.Crashes(p) >= opts.MaxCrashesPerProc {
-					continue
-				}
-				victims = append(victims, p)
-			}
-			if len(victims) > 0 {
-				if _, err := s.CrashProc(victims[rng.Intn(len(victims))]); err != nil {
-					return err
-				}
-				continue
-			}
 		}
 		if _, err := s.StepProc(poised[rng.Intn(len(poised))]); err != nil {
 			return err

@@ -75,7 +75,7 @@ func TestRunRandomDeterministicPerSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if err := s.RunRandom(seed, mutex.RandomRunOptions{CrashProb: 0.1, MaxCrashesPerProc: 2}); err != nil {
+		if err := s.RunRandom(seed); err != nil {
 			t.Fatal(err)
 		}
 		return s.Machine().Schedule()

@@ -24,9 +24,10 @@
 //	fmt.Println("worst passage cost:", s.MaxPassageRMRs(rme.CC), "RMRs")
 //
 // Crash injection, adversarial scheduling, model checking, and the
-// experiment harness are exposed through NewAdversary, Exhaustive/Stress,
-// and Experiments. For real-hardware benchmarking the same algorithms run
-// on sync/atomic via NewNativeLock.
+// experiment harness are exposed through Session.CrashProc, NewAdversary,
+// Exhaustive, and Experiments; randomized crash campaigns run through
+// cmd/rmecheck -stress and cmd/rmefault. For real-hardware benchmarking the
+// same algorithms run on sync/atomic via NewNativeLock.
 package rme
 
 import (
@@ -82,8 +83,6 @@ type (
 	Session = mutex.Session
 	// PassageStat records RMRs per passage.
 	PassageStat = mutex.PassageStat
-	// RandomRunOptions tunes randomized runs.
-	RandomRunOptions = mutex.RandomRunOptions
 	// NativeLock runs an Algorithm on real sync/atomic memory.
 	NativeLock = mutex.NativeLock
 	// NativeHandle is one process's native lock interface: a sync.Locker
@@ -179,11 +178,6 @@ func Exhaustive(cfg CheckConfig) (*CheckResult, error) { return check.Exhaustive
 // cost; it exists as the differential-testing oracle for the stateful search.
 func ExhaustiveReference(cfg CheckConfig) (*CheckResult, error) {
 	return check.ExhaustiveReference(cfg)
-}
-
-// Stress runs randomized schedules with optional crash injection.
-func Stress(cfg CheckConfig, seeds int, crashProb float64) (*CheckResult, error) {
-	return check.Stress(cfg, seeds, crashProb)
 }
 
 // Run executes a batch of RunSpecs on the engine's deterministic worker

@@ -124,16 +124,6 @@ func TestCheckFacade(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	sres, err := rme.Stress(rme.CheckConfig{
-		Session:        rme.Config{Procs: 3, Width: 8, Model: rme.DSM, Algorithm: rme.MustAlgorithm("rspin")},
-		CrashesPerProc: 1,
-	}, 20, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sres.Err(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestTheoreticalLowerBoundFacade(t *testing.T) {
